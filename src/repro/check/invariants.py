@@ -145,7 +145,10 @@ class InvariantChecker(TraceSink):
         h = self._hierarchy
         now = h._now
         for core_id, mshr in enumerate(h.l1_mshrs):
-            occupancy = mshr.occupancy(now)
+            # a pure query: the mutating ``occupancy`` would expire
+            # entries at the hierarchy's clock, ahead of lagging cores,
+            # and change the run being checked
+            occupancy = mshr.peek_occupancy(now)
             if occupancy > mshr.entries:
                 self._fail(
                     f"l1d{core_id} MSHR occupancy {occupancy} exceeds "

@@ -69,7 +69,7 @@ class MshrFile:
         is waiting for its slot: the stalled miss is registered (so later
         accesses can merge with it) but does not hold an entry until its
         start time.  The invariant checker asserts this never exceeds
-        ``entries``.
+        ``entries``, through the side-effect-free :meth:`peek_occupancy`.
         """
         self._expire(now)
         # Amortized O(1): ``_starts`` holds exactly the live misses whose
@@ -84,6 +84,22 @@ class MshrFile:
             if starts.get(block) == start:
                 del starts[block]
         return len(self._inflight) - len(starts)
+
+    def peek_occupancy(self, now: float) -> int:
+        """:meth:`occupancy` as a pure query: expires and pops nothing.
+
+        :meth:`occupancy` garbage-collects finished entries and advances
+        the file's clock, and when ``now`` runs ahead of the owning core
+        that changes its later merge and stall outcomes.  Observers that
+        must not change the run they watch (the invariant checker) use
+        this O(live entries) scan of the same definition instead.
+        """
+        starts = self._starts
+        return sum(
+            1
+            for block, finish in self._inflight.items()
+            if finish > now and starts.get(block, now) <= now
+        )
 
     def lookup(self, block: int, now: float) -> Optional[float]:
         """Completion time of an in-flight miss to ``block``, if any."""

@@ -14,7 +14,7 @@ executor's on-disk cache unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.stats import StatGroup
 
@@ -39,12 +39,19 @@ class TimelineRecorder:
         self._dram = dram_stats
         self.samples: List[Dict[str, object]] = []
 
-    def sample(self, instructions: int, cores: Sequence) -> None:
-        """Record the current counter state at ``instructions`` retired."""
+    def sample(
+        self, instructions: int, progress: Sequence[Tuple[int, float]]
+    ) -> None:
+        """Record the current counter state at ``instructions`` retired.
+
+        ``progress`` is each core's ``(retired_instructions,
+        retire_cycles)`` at that point; the fast engine tiers pass values
+        from their own state mirrors rather than the core models.
+        """
         self.samples.append(
             {
                 "instructions": instructions,
-                "cores": [[core.instructions, core.time] for core in cores],
+                "cores": [[count, time] for count, time in progress],
                 "llc": self._llc.counters(),
                 "dram": self._dram.counters(),
             }

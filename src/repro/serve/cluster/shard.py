@@ -159,8 +159,24 @@ class ShardedResultCache:
             return self._stores.get(owner) if owner is not None else None
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        store = self._store_for(digest)
-        return store.get(digest) if store is not None else None
+        """The entry from the digest's owning shard, else from any other.
+
+        A node that joins takes over part of its neighbours' slices, but
+        shards are never rebalanced, so an entry written before the join
+        stays with its old owner; digests fold the code version, so any
+        shard's entry for the digest is valid.
+        """
+        with self._lock:
+            owner = self.ring.owner(digest)
+            # the owner first: it holds every entry written since it joined
+            stores = sorted(
+                self._stores.items(), key=lambda item: item[0] != owner
+            )
+        for _, store in stores:
+            entry = store.get(digest)
+            if entry is not None:
+                return entry
+        return None
 
     def put(self, digest: str, result: Dict[str, Any]) -> bool:
         """Route ``result`` to its owning shard; False on an empty ring."""

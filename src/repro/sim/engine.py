@@ -36,7 +36,9 @@ from repro.sim.results import CoreResult, SimResult
 #: change to ``_run_until_compiled`` (or the state it mirrors from
 #: ``CoreTimingModel``): the executor folds it into result-cache digests
 #: so entries produced by an older fast path are never served.
-FASTPATH_VERSION = 1
+#: v2: samples interval timelines in segments (timeline runs no longer
+#: fall back to the general loop).
+FASTPATH_VERSION = 2
 
 #: Version of the vectorized batch-replay tier (``repro.sim.vector``).
 #: Bump on any change to its kernels or barrier handling; the executor
@@ -44,7 +46,8 @@ FASTPATH_VERSION = 1
 #: Defined here (not in the vector package) so digests can be computed
 #: on numpy-free installs, where the tier merely never engages.
 #: v2: batched miss path (misspath.py) + drain mode + per-reason demotion.
-VECTOR_VERSION = 2
+#: v3: interval-timeline sampling at barriers; stretch rewind on demotion.
+VECTOR_VERSION = 3
 
 #: Process-local counts of which engine tier each ``run()`` selected.
 #: ``demoted`` counts vectorized runs that handed off to the compiled
@@ -191,7 +194,9 @@ class SimulationEngine:
             if self.obs.timeline_interval
             else None
         )
-        self._retired_total = 0
+        #: retired-instruction position of the next timeline sample; every
+        #: tier advances it as it samples, so phases and a mid-run tier
+        #: handoff continue one cadence
         self._next_sample = self.obs.timeline_interval
 
     # -- phases -----------------------------------------------------------
@@ -213,6 +218,7 @@ class SimulationEngine:
         ]
         heapq.heapify(heap)
         recorder = self.timeline  # None when the timeline is disabled
+        retired = sum(core.instructions for core in self.cores)
         while heap:
             _, core_id = heapq.heappop(heap)
             core = self.cores[core_id]
@@ -228,9 +234,12 @@ class SimulationEngine:
             else:
                 core.retire_compute()
             if recorder is not None:
-                self._retired_total += 1
-                if self._retired_total >= self._next_sample:
-                    recorder.sample(self._retired_total, self.cores)
+                retired += 1
+                if retired >= self._next_sample:
+                    recorder.sample(
+                        retired,
+                        [(core.instructions, core.time) for core in self.cores],
+                    )
                     self._next_sample += recorder.interval
             if core.instructions < budget_per_core:
                 heapq.heappush(heap, (core.next_issue_time(), core_id))
@@ -239,16 +248,17 @@ class SimulationEngine:
         """True when the specialised compiled-trace loop may replace
         :meth:`_run_until`.
 
-        The fast path skips per-record sink guards and timeline
-        bookkeeping, so it only engages when both are provably inert:
-        the sink is the module-level ``NULL_SINK`` and the timeline
-        recorder is off.  Anything else — or a trace compiled shorter
-        than the run — falls back to the general loop, byte-for-byte.
+        The fast path skips per-record sink guards, so it only engages
+        when the sink is provably inert: the module-level ``NULL_SINK``.
+        An interval timeline does not disqualify it — the fast tiers
+        take byte-identical samples themselves (see
+        :meth:`_run_until_compiled` and ``VectorReplay``).  A trace sink,
+        or a trace compiled shorter than the run, falls back to the
+        general loop, byte-for-byte.
         """
         return (
             isinstance(self.workload, CompiledWorkload)
             and self.sink is NULL_SINK
-            and self.timeline is None
             and self.workload.records_per_core
             >= self.params.instructions_per_core
         )
@@ -256,7 +266,9 @@ class SimulationEngine:
     def _vector_path_eligible(self) -> bool:
         """True when the NumPy batch-replay tier may run this simulation.
 
-        Requires everything :meth:`_fast_path_eligible` does, plus:
+        Requires everything :meth:`_fast_path_eligible` does (so a
+        timeline run qualifies, and only trace sinks force the generator
+        loop), plus:
 
         * prefetchers (if any) observe the **LLC** — the vector tier
           batches L1 hits, so an L1-training prefetcher would miss its
@@ -286,6 +298,13 @@ class SimulationEngine:
         general loop, so results are bit-identical; the equivalence
         suite (``tests/sim/test_compile.py``) holds this to
         field-for-field ``SimResult`` equality.
+
+        The heap pops exactly ``remaining`` records, so the loop runs in
+        segments of a known pop count: the whole phase when the timeline
+        is off, otherwise up to the next sample position, where the
+        global retired count equals the generator loop's and the sample
+        reads the mirrors.  Records already retired past ``_next_sample``
+        on entry (a vector-tier handoff) are sampled before the first pop.
         """
         cores = self.cores
         access = self.hierarchy.access
@@ -314,55 +333,72 @@ class SimulationEngine:
                         dispatch = ready
                 heap.append((dispatch, core_id))
         heapq.heapify(heap)
+        recorder = self.timeline
+        remaining = sum(
+            budget_per_core - count for count in counts if count < budget_per_core
+        )
+        retired = sum(counts)
 
         try:
-            while heap:
-                _, core_id = heappop(heap)
-                index = cursors[core_id]
-                cursors[core_id] = index + 1
-                count = counts[core_id]
-                ring = rings[core_id]
-                rob = robs[core_id]
-                # next_issue_time()
-                dispatch = last_dispatch[core_id] + intervals[core_id]
-                if count >= rob:
-                    ready = ring[count % rob]
-                    if ready > dispatch:
-                        dispatch = ready
-                bits = flags[core_id][index]
-                if bits:  # memory instruction
-                    issue = dispatch
-                    if bits & 4:  # depends_on_prev_load
-                        arrived = last_load_complete[core_id]
-                        if arrived > issue:
-                            issue = arrived
-                    result = access(
-                        core_id,
-                        pcs[core_id][index],
-                        addresses[core_id][index],
-                        issue,
-                        bool(bits & 2),  # is_write
-                    )
-                    complete = issue + result.latency
-                    if not bits & 2:
-                        last_load_complete[core_id] = complete
+            while True:
+                if recorder is not None:
+                    while retired >= self._next_sample:
+                        recorder.sample(retired, list(zip(counts, last_retire)))
+                        self._next_sample += recorder.interval
+                    segment = min(remaining, self._next_sample - retired)
                 else:
-                    complete = dispatch + 1.0  # CoreTimingModel.ALU_LATENCY
-                retire = last_retire[core_id]
-                if complete > retire:
-                    retire = complete
-                ring[count % rob] = retire
-                count += 1
-                counts[core_id] = count
-                last_dispatch[core_id] = dispatch
-                last_retire[core_id] = retire
-                if count < budget_per_core:
-                    dispatch = dispatch + intervals[core_id]
+                    segment = remaining
+                if not segment:
+                    break
+                remaining -= segment
+                retired += segment
+                for _ in range(segment):
+                    _, core_id = heappop(heap)
+                    index = cursors[core_id]
+                    cursors[core_id] = index + 1
+                    count = counts[core_id]
+                    ring = rings[core_id]
+                    rob = robs[core_id]
+                    # next_issue_time()
+                    dispatch = last_dispatch[core_id] + intervals[core_id]
                     if count >= rob:
                         ready = ring[count % rob]
                         if ready > dispatch:
                             dispatch = ready
-                    heappush(heap, (dispatch, core_id))
+                    bits = flags[core_id][index]
+                    if bits:  # memory instruction
+                        issue = dispatch
+                        if bits & 4:  # depends_on_prev_load
+                            arrived = last_load_complete[core_id]
+                            if arrived > issue:
+                                issue = arrived
+                        result = access(
+                            core_id,
+                            pcs[core_id][index],
+                            addresses[core_id][index],
+                            issue,
+                            bool(bits & 2),  # is_write
+                        )
+                        complete = issue + result.latency
+                        if not bits & 2:
+                            last_load_complete[core_id] = complete
+                    else:
+                        complete = dispatch + 1.0  # CoreTimingModel.ALU_LATENCY
+                    retire = last_retire[core_id]
+                    if complete > retire:
+                        retire = complete
+                    ring[count % rob] = retire
+                    count += 1
+                    counts[core_id] = count
+                    last_dispatch[core_id] = dispatch
+                    last_retire[core_id] = retire
+                    if count < budget_per_core:
+                        dispatch = dispatch + intervals[core_id]
+                        if count >= rob:
+                            ready = ring[count % rob]
+                            if ready > dispatch:
+                                dispatch = ready
+                        heappush(heap, (dispatch, core_id))
         finally:
             # write the mirrors back so snapshots/results see the same
             # state the general loop would have left (even on error)
@@ -427,8 +463,11 @@ class SimulationEngine:
         if recorder is not None:
             # Close the last (possibly partial) interval so the
             # timeline's deltas sum to the whole-run totals.
-            if self._retired_total > recorder.last_instructions():
-                recorder.sample(self._retired_total, self.cores)
+            retired = sum(core.instructions for core in self.cores)
+            if retired > recorder.last_instructions():
+                recorder.sample(
+                    retired, [(core.instructions, core.time) for core in self.cores]
+                )
             timeline = list(recorder.samples)
         else:
             timeline = []

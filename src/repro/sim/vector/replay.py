@@ -71,12 +71,27 @@ semantics but batches everything that does not touch shared state:
   written back exactly as at end-of-advance and the array L1s are
   materialised into the real ``Cache`` objects in stamp (LRU) order,
   so the compiled loop continues from byte-identical state.
+
+* **Timeline samples without a generator loop.**  Barriers execute in
+  global ``(dispatch, core_id)`` order and the LLC/DRAM counters a
+  sample reads change only inside a barrier, so just before barrier
+  *K* executes the generator loop has retired exactly the instructions
+  keyed below *K*.  Only a parked core's latest *stretch* (what it
+  replayed past its last executed barrier) can hold keys above *K*.
+  Timeline runs save each stretch's start state; when the consumed
+  total could have crossed the next sample, the stretch's dispatch keys
+  and retire times are recovered by re-running its timing arithmetic
+  (every record in a stretch is an L1 hit or compute), and the sample
+  is cut at the exact global position.  A demotion rewinds parked
+  cores to their stretch starts so the compiled loop's retire count
+  continues the generator's.  None of this runs without a timeline.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left, bisect_right
 from typing import List, Optional
 
 import numpy as np
@@ -172,6 +187,7 @@ class _CoreState:
         "bufc",
         "bufg",
         "bufb",
+        "stretch",
     )
 
     def __init__(self, core_id, arena, core, sets, ways) -> None:
@@ -220,6 +236,33 @@ class _CoreState:
         self.bufc = np.empty(ATTEMPT_MAX, dtype=np.float64)
         self.bufg = np.empty(ATTEMPT_MAX, dtype=np.float64)
         self.bufb = np.empty(ATTEMPT_MAX, dtype=bool)
+        # the latest stretch (timeline runs only; see _Stretch)
+        self.stretch: Optional[_Stretch] = None
+
+
+class _Stretch:
+    """A core's latest stretch, for timeline sampling.
+
+    The stretch is everything the core replayed past its last executed
+    barrier (or past the start of the phase), led by that barrier when
+    there is one.  ``base`` counts the core's instructions before it;
+    ``before`` is the core's retire clock at ``base``.  ``state`` is the
+    timing state at ``start`` (after the lead), from which ``keys`` (the
+    dispatch key of each instruction) and ``retires`` (the retire clock
+    after it) are recovered on demand.
+    """
+
+    __slots__ = ("base", "before", "start", "state", "keys", "retires")
+
+    def __init__(self, cs: _CoreState, before: Optional[float]) -> None:
+        lead = before is not None
+        self.start = cs.count
+        self.base = cs.count - lead
+        self.before = before if lead else cs.last_retire
+        ring = cs.ring_list[:] if cs.drain else cs.ring.tolist()
+        self.state = (cs.last_dispatch, cs.last_retire, cs.last_llc, ring)
+        self.keys = [cs.last_dispatch] if lead else []
+        self.retires = [cs.last_retire] if lead else []
 
 
 class VectorReplay:
@@ -255,6 +298,7 @@ class VectorReplay:
         interval = self.cores[0].interval if self.cores else 0.0
         self.rob_slack = rob * interval >= max(self.hit_lat, 1.0) + 1.0
         self.misspath = MissPath(self)
+        self.recorder = engine.timeline
         self.demoted = False
         self._barriers_seen = 0
         self._probe_done = False
@@ -266,21 +310,29 @@ class VectorReplay:
         if self.demoted:
             self._advance_demoted(budget_per_core)
             return
+        recorder = self.recorder
         try:
             pending = []
             for cs in self.cores:
+                if recorder is not None:
+                    cs.stretch = _Stretch(cs, None)
                 dispatch = self._run_to_barrier(cs, budget_per_core)
                 if dispatch is not None:
                     pending.append((dispatch, cs.core_id))
             heapq.heapify(pending)
             while pending:
-                _, core_id = heapq.heappop(pending)
+                dispatch, core_id = heapq.heappop(pending)
                 cs = self.cores[core_id]
                 while True:
+                    if recorder is not None:
+                        self._take_samples(cs, dispatch)
+                        before = cs.last_retire
                     if cs.drain:
                         self._execute_barrier_drain(cs)
                     else:
                         self._execute_barrier(cs)
+                    if recorder is not None:
+                        cs.stretch = _Stretch(cs, before)
                     if not self._probe_done and self._should_demote():
                         self.demoted = True
                         break
@@ -296,11 +348,147 @@ class VectorReplay:
                     # pop it right back — execute it inline instead
                 if self.demoted:
                     break
+            if recorder is not None and not self.demoted:
+                self._take_samples(None, None)
         finally:
             self._writeback()
         if self.demoted:
+            if recorder is not None:
+                self._rewind_stretches()
             self._materialize_l1(self._demote_reason)
             self._advance_demoted(budget_per_core)
+
+    # -- timeline sampling (timeline runs only) ---------------------------
+    def _take_samples(self, ex: Optional[_CoreState], dispatch) -> None:
+        """Take every sample due before barrier ``(dispatch, ex)`` runs.
+
+        ``ex`` is the core about to execute it, or None at the end of
+        the phase, where everything consumed has retired.  Each core's
+        instructions keyed below the barrier are its ``base`` plus the
+        matching prefix of its stretch.
+        """
+        engine = self.engine
+        if sum(cs.count for cs in self.cores) < engine._next_sample:
+            return
+        below = []
+        for cs in self.cores:
+            if ex is None or cs is ex:
+                below.append(cs.count)
+            else:
+                st = self._recovered(cs)
+                find = bisect_right if cs.core_id < ex.core_id else bisect_left
+                below.append(st.base + find(st.keys, dispatch))
+        due = sum(below)
+        recorder = self.recorder
+        while engine._next_sample <= due:
+            position = engine._next_sample
+            recorder.sample(position, self._cut(position, below))
+            engine._next_sample += recorder.interval
+
+    def _cut(self, position: int, below: List[int]):
+        """Per-core ``(count, retire)`` once ``position`` instructions
+        have retired globally: find the stretch instruction of that rank
+        among the keys counted in ``below``.  Everything outside the
+        stretches ranks lower, so its rank within the stretches is
+        ``position`` minus the bases."""
+        stretches = [self._recovered(cs) for cs in self.cores]
+        limits = [n - st.base for n, st in zip(below, stretches)]
+        rank = position - sum(st.base for st in stretches)
+        for core_id, st in enumerate(stretches):
+            lo, hi = 0, limits[core_id]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                key = st.keys[mid]
+                taken = [
+                    mid + 1 if other == core_id
+                    else (bisect_right if other < core_id else bisect_left)(
+                        o.keys, key, 0, limits[other]
+                    )
+                    for other, o in enumerate(stretches)
+                ]
+                total = sum(taken)
+                if total < rank:
+                    lo = mid + 1
+                elif total > rank:
+                    hi = mid
+                else:
+                    return [
+                        (o.base + n, o.retires[n - 1] if n else o.before)
+                        for o, n in zip(stretches, taken)
+                    ]
+        raise AssertionError(f"no instruction retires at position {position}")
+
+    def _recovered(self, cs: _CoreState) -> _Stretch:
+        """The core's stretch with keys/retires recovered to ``cs.count``.
+
+        Every record in a stretch is an L1 hit or compute, so the drain
+        walker's arithmetic, from the saved start state, reproduces the
+        exact floats the kernels produced.
+        """
+        st = cs.stretch
+        if st.base + len(st.keys) == cs.count:
+            return st
+        last_dispatch, last_retire, last_llc, ring = st.state
+        ring = ring[:]
+        lead = st.start - st.base
+        keys = st.keys[:lead]
+        retires = st.retires[:lead]
+        rob = cs.rob
+        interval = cs.interval
+        lat = self.hit_lat
+        i = st.start
+        for bits in cs.flags[st.start : cs.count].tolist():
+            dispatch = last_dispatch + interval
+            if i >= rob:
+                ready = ring[i % rob]
+                if ready > dispatch:
+                    dispatch = ready
+            if bits & 1:
+                issue = dispatch
+                if bits & 4 and last_llc > issue:
+                    issue = last_llc
+                complete = issue + lat
+                if not bits & 2:
+                    last_llc = complete
+            else:
+                complete = dispatch + 1.0  # CoreTimingModel.ALU_LATENCY
+            if complete > last_retire:
+                last_retire = complete
+            ring[i % rob] = last_retire
+            keys.append(dispatch)
+            retires.append(last_retire)
+            last_dispatch = dispatch
+            i += 1
+        st.keys = keys
+        st.retires = retires
+        return st
+
+    def _rewind_stretches(self) -> None:
+        """Undo the stretches before a demotion handoff.
+
+        The compiled loop counts retired instructions by its pops, which
+        matches the generator's global count only if nothing was retired
+        out of order.  Rewinding each core to its stretch start restores
+        that; the compiled loop then replays the stretch's hits against
+        the materialised L1, whose stamp order already ranks those blocks
+        last, so their LRU order comes out the same.
+        """
+        h = self.h
+        for cs, core in zip(self.cores, self.engine.cores):
+            st = cs.stretch
+            if cs.count == st.start:
+                continue
+            hits = int(np.count_nonzero(cs.flags[st.start : cs.count] & 1))
+            last_dispatch, last_retire, last_llc, ring = st.state
+            core._count = st.start
+            core._last_dispatch = last_dispatch
+            core._last_retire = last_retire
+            core._last_load_complete = last_llc
+            core._retire_ring[:] = ring
+            core._stat_instructions.value = st.start
+            core._stat_cycles.value = last_retire
+            h._l1_accesses[cs.core_id].value -= hits
+            h._l1_hits[cs.core_id].value -= hits
 
     def _should_demote(self) -> bool:
         """Demotion safety valves; see the module docstring."""

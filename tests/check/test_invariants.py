@@ -123,3 +123,35 @@ class TestStrictness:
         checker.emit(miss())
         assert checker.finalize() is None
         assert checker.checks_run == 0
+
+
+class TestCheckingDoesNotPerturbTheRun:
+    """Regression: the structural sweep used to call the mutating
+    ``MshrFile.occupancy`` at the hierarchy's clock, which expired
+    entries ahead of lagging cores and changed their later merge and
+    stall outcomes, so ``Executor(check=True)`` returned a different
+    result than the plain run.  Each length is one at which the old
+    checker perturbed its point (seed 7, experiment hierarchy)."""
+
+    @pytest.mark.parametrize("replacement", ["lru", "arc"])
+    @pytest.mark.parametrize(
+        "workload, instructions",
+        [("zipf", 12_000), ("oscillate", 8_000), ("phase_shift", 20_000)],
+    )
+    def test_checked_run_equals_plain_run(
+        self, workload, instructions, replacement
+    ):
+        from repro.experiments.common import experiment_system
+        from repro.sim.executor import Executor, SimJob, execute_job
+
+        job = SimJob.build(
+            workload,
+            system=experiment_system(),
+            instructions_per_core=instructions,
+            warmup_instructions=instructions // 5,
+            seed=7,
+            scale=0.125,
+            replacement=replacement,
+        )
+        checked = Executor(workers=1, check=True).run_jobs([job])[0]
+        assert checked.to_dict() == execute_job(job).to_dict()

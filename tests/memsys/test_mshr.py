@@ -200,3 +200,36 @@ def _reference_occupancy(mshr, now):
         if start is None or start <= now:
             count += 1
     return count
+
+
+class TestPeekOccupancy:
+    """The invariant checker's query: same count as ``occupancy``, no
+    side effects on the file it inspects."""
+
+    def test_matches_occupancy_and_changes_nothing(self):
+        mshr = MshrFile(entries=2)
+        for block, now, completion in [
+            (1, 10.0, 100.0),
+            (2, 20.0, 200.0),
+            (3, 30.0, 300.0),  # stalls behind 1
+            (4, 40.0, 400.0),  # stalls behind 2
+        ]:
+            mshr.allocate(block, now=now, completion=completion)
+        for probe in [0.0, 50.0, 99.0, 100.0, 150.0, 250.0, 600.0]:
+            state = (
+                dict(mshr._inflight),
+                dict(mshr._starts),
+                list(mshr._heap),
+                list(mshr._pending),
+                mshr._clock,
+            )
+            peeked = mshr.peek_occupancy(probe)
+            assert state == (
+                dict(mshr._inflight),
+                dict(mshr._starts),
+                list(mshr._heap),
+                list(mshr._pending),
+                mshr._clock,
+            )
+            assert peeked == _reference_occupancy(mshr, probe)
+            assert peeked == mshr.occupancy(probe)

@@ -52,6 +52,9 @@ def api():
     try:
         yield service, client, host, port
     finally:
+        # experiment runner threads poll until stopped; left running,
+        # they call time.sleep from later tests that fake the clock
+        service.orchestrator.stop(timeout=5.0)
         server.shutdown()
         server.server_close()
         thread.join(5.0)

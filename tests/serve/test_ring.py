@@ -141,6 +141,18 @@ class TestShardedResultCache:
             assert (tmp_path / owner / d[:2] / f"{d}.json").exists()
             assert cache.get(d) == {"d": d}
 
+    def test_entries_survive_a_node_joining(self, tmp_path):
+        """Regression: a joining node takes over digests whose entries
+        still live on their old owner's shard; they must stay readable."""
+        cache = ShardedResultCache(tmp_path)
+        cache.add_node("n1")
+        for d in DIGESTS[:20]:
+            cache.put(d, {"d": d})
+        cache.add_node("n2")
+        assert any(cache.ring.owner(d) == "n2" for d in DIGESTS[:20])
+        for d in DIGESTS[:20]:
+            assert cache.get(d) == {"d": d}
+
     def test_empty_ring_degrades(self, tmp_path):
         cache = ShardedResultCache(tmp_path)
         assert cache.get(DIGESTS[0]) is None

@@ -265,13 +265,21 @@ class TestFastPathEquivalence:
         )
         assert not engine._fast_path_eligible()
 
-    def test_timeline_runs_general_loop_with_identical_samples(self):
-        job = quick_job(True)
+    def test_timeline_runs_vectorized_with_same_samples(self):
+        """A timeline no longer forces the generator loop: the job runs
+        on the vector tier and samples exactly what the generator does."""
         from repro.obs.config import ObservabilityConfig
+        from repro.sim.engine import engine_tier_counters
 
+        job = quick_job(True)
         obs = ObservabilityConfig(timeline_interval=1000)
+        before = engine_tier_counters()
         compiled = execute_job(replace(job, obs=obs))
+        after = engine_tier_counters()
+        assert after["vectorized"] == before["vectorized"] + 1
+        assert after["general"] == before["general"]
         generator = execute_job(replace(job, obs=obs, compile=False))
+        assert compiled.timeline
         assert compiled.timeline == generator.timeline
         assert compiled.to_dict() == generator.to_dict()
 

@@ -6,7 +6,8 @@ the vectorized engine to field-for-field ``SimResult`` equality against
 the scalar compiled loop and the generator loop — across the full
 prefetcher zoo, across chunk-boundary edge cases (chunk size 1, a
 boundary exactly on a trigger access, compute-only chunks), and across
-the in-flight demotion handoff.
+the in-flight demotion handoff — and holds interval-timeline samples,
+which every tier takes itself, to the same equality.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import small_system
 from repro.experiments.common import PAPER_PREFETCHERS
+from repro.obs.config import ObservabilityConfig
 from repro.sim.compile import compile_workload
 from repro.sim.engine import (
     SimulationEngine,
@@ -42,24 +44,27 @@ def run_tiers(
     scale=SCALE,
     chunk=None,
     with_generator=True,
+    timeline_interval=0,
 ):
-    """Run one configuration on every tier; return the SimResult dicts."""
+    """Run one configuration on every tier; return the SimResult dicts
+    (timeline samples included, when ``timeline_interval`` is set)."""
     system = small_system(num_cores=4)
     params = SimulationParams(
         instructions_per_core=instructions, warmup_instructions=warmup
     )
+    obs = ObservabilityConfig(timeline_interval=timeline_interval)
     source = make_workload(workload, seed=seed, scale=scale)
     compiled = compile_workload(source, records_per_core=instructions)
     out = {}
     if with_generator:
         out["generator"] = SimulationEngine(
-            source, prefetcher, system, params, vectorized=False
+            source, prefetcher, system, params, obs=obs, vectorized=False
         ).run().to_dict()
     out["compiled"] = SimulationEngine(
-        compiled, prefetcher, system, params, vectorized=False
+        compiled, prefetcher, system, params, obs=obs, vectorized=False
     ).run().to_dict()
     engine = SimulationEngine(
-        compiled, prefetcher, system, params, vectorized=True
+        compiled, prefetcher, system, params, obs=obs, vectorized=True
     )
     if chunk is not None:
         engine._vector_chunk = chunk
@@ -126,11 +131,16 @@ class TestChunkBoundaries:
     instructions=st.integers(min_value=400, max_value=2500),
     warmup_fraction=st.floats(min_value=0.0, max_value=0.45),
     seed=st.integers(min_value=1, max_value=2**16),
+    timeline_interval=st.one_of(
+        st.just(0), st.integers(min_value=1, max_value=12_000)
+    ),
 )
 def test_property_three_tier_equality(
-    workload, prefetcher, instructions, warmup_fraction, seed
+    workload, prefetcher, instructions, warmup_fraction, seed,
+    timeline_interval,
 ):
-    """Any (workload, prefetcher, budget, seed) point: all tiers agree."""
+    """Any (workload, prefetcher, budget, seed, timeline) point: all
+    tiers agree, timeline samples included."""
     warmup = int(instructions * warmup_fraction)
     tiers = run_tiers(
         workload=workload,
@@ -138,8 +148,48 @@ def test_property_three_tier_equality(
         instructions=instructions,
         warmup=warmup,
         seed=seed,
+        timeline_interval=timeline_interval,
     )
     assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+
+
+class TestTimelineAcrossTiers:
+    """Every tier samples the timeline itself, at the generator loop's
+    exact global retire positions.  Each run retires 12000 instructions,
+    2000 of them in the warm-up.  em3d's cores dispatch in lockstep
+    until their first misses, so barriers tie other cores' stretch keys
+    and the ``(dispatch, core_id)`` tie-break decides sample cuts."""
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            1,  # a sample after every instruction
+            997,  # a prime
+            600,  # does not divide the 2000-instruction warm-up
+            12_000,  # the total: only the in-loop final sample
+            12_001,  # longer than the run: only the closing sample
+        ],
+    )
+    def test_samples_equal_on_every_tier(self, interval):
+        tiers = run_tiers(workload="em3d", timeline_interval=interval)
+        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+        timeline = tiers["vectorized"]["timeline"]
+        assert len(timeline) == -(-12_000 // interval)
+        assert timeline[-1]["instructions"] == 12_000
+
+    @pytest.mark.parametrize("chunk", [1, 64])
+    def test_miss_dense_drain_mode(self, chunk):
+        """Drain-mode stretches and tiny chunks: stretch keys recovered
+        from both kernels' state."""
+        tiers = run_tiers(
+            workload="zipf",
+            prefetcher="none",
+            instructions=2000,
+            warmup=400,
+            chunk=chunk,
+            timeline_interval=1,
+        )
+        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
 
 
 @settings(
@@ -281,25 +331,34 @@ class TestDemotion:
 
         system = small_system(num_cores=4)
         params = SimulationParams(3000, 500)
-        compiled = compile_workload(
-            make_workload("em3d", seed=7, scale=SCALE), records_per_core=3000
-        )
+        # with the probe at 128 barriers the handoff comes ~3800
+        # instructions in, with three cores parked mid-stretch; samples
+        # every 7 positions fall on both sides of it and among the
+        # parked stretches' keys, so the compiled loop must continue the
+        # cadence at the same positions
+        obs = ObservabilityConfig(timeline_interval=7)
+        source = make_workload("em3d", seed=7, scale=SCALE)
+        compiled = compile_workload(source, records_per_core=3000)
         scalar = SimulationEngine(
-            compiled, "bingo", system, params, vectorized=False
+            compiled, "bingo", system, params, obs=obs, vectorized=False
+        ).run()
+        generator = SimulationEngine(
+            source, "bingo", system, params, obs=obs, vectorized=False
         ).run()
         probe, stretch = replay_mod.PROBE_BARRIERS, replay_mod.DEMOTE_STRETCH
-        replay_mod.PROBE_BARRIERS = 16
+        replay_mod.PROBE_BARRIERS = 128
         replay_mod.DEMOTE_STRETCH = 10**9  # always demote at the probe
         try:
             before = engine_tier_counters()["demoted"]
             vector = SimulationEngine(
-                compiled, "bingo", system, params, vectorized=True
+                compiled, "bingo", system, params, obs=obs, vectorized=True
             ).run()
             assert engine_tier_counters()["demoted"] == before + 1
         finally:
             replay_mod.PROBE_BARRIERS = probe
             replay_mod.DEMOTE_STRETCH = stretch
-        assert vector.to_dict() == scalar.to_dict()
+        assert len(vector.timeline) == -(-12_000 // 7)
+        assert vector.to_dict() == scalar.to_dict() == generator.to_dict()
 
 
 class TestJobIntegration:
