@@ -156,17 +156,13 @@ def measure_matrix(
         "parallel_speedup": round(serial_s / parallel_s, 2),
         "cached_speedup": round(serial_s / cached_s, 2),
         # engine-tier engagement over the vectorized pass: every point
-        # selects the vector tier; any demotion is attributed a reason
+        # selects the vector tier; a demotion needs an LLC policy
+        # interface, so on this native-LRU matrix none is expected
         "vector_tier_runs": vector_runs,
         "vector_tier_demotions": vector_demotions,
         "vector_tier_stayed_rate": round(
             (vector_runs - vector_demotions) / max(1, vector_runs), 3
         ),
-        "vector_tier_demoted_stretch_probe": tiers_after[
-            "demoted_stretch_probe"
-        ] - tiers_before["demoted_stretch_probe"],
-        "vector_tier_demoted_hazard": tiers_after["demoted_hazard"]
-        - tiers_before["demoted_hazard"],
         "vector_tier_demoted_ineligible_policy": tiers_after[
             "demoted_ineligible_policy"
         ] - tiers_before["demoted_ineligible_policy"],
@@ -377,9 +373,6 @@ def run_misspath_smoke(
         vector_tier_runs=runs,
         vector_tier_demotions=demotions,
         vector_tier_stayed_rate=round(stayed_rate, 3),
-        demoted_stretch_probe=after["demoted_stretch_probe"]
-        - before["demoted_stretch_probe"],
-        demoted_hazard=after["demoted_hazard"] - before["demoted_hazard"],
         demoted_ineligible_policy=after["demoted_ineligible_policy"]
         - before["demoted_ineligible_policy"],
         divergences=divergences,

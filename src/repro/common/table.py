@@ -1,46 +1,41 @@
-"""A generic set-associative table.
+"""A generic set-associative LRU table.
 
-Nearly every structure in the paper — the LLC, Bingo's filter, accumulation
-and history tables, SMS's history table, SPP's signature table, AMPM's
-access-map table — is a set-associative array of ``(tag, payload)`` entries
-with some replacement policy.  :class:`SetAssociativeTable` implements that
-once, with eviction callbacks so owners can commit state (e.g. Bingo moves
-an accumulation-table entry into the history table when it is evicted).
+Nearly every prefetcher structure in the paper — Bingo's filter,
+accumulation and history tables, SMS's history table, SPP's signature
+table, VLDP's delta tables — is a set-associative array of
+``(tag, payload)`` entries with LRU replacement.
+:class:`SetAssociativeTable` implements that once, with eviction callbacks
+so owners can commit state (e.g. Bingo moves an accumulation-table entry
+into the history table when it is evicted).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generic, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro.common.hashing import fold
-from repro.common.replacement import LruPolicy, ReplacementPolicy, make_policy
 
 P = TypeVar("P")
 
 
-@dataclass
-class Entry(Generic[P]):
-    """One valid table entry: a full tag plus an owner-defined payload."""
-
-    tag: int
-    payload: P
-
-
 class SetAssociativeTable(Generic[P]):
-    """Set-associative ``tag -> payload`` storage with pluggable replacement.
+    """Set-associative ``tag -> payload`` storage with LRU replacement.
 
     Keys are arbitrary ints; the set index is a fold of the key unless the
     caller supplies an explicit index (Bingo indexes by a *different* event
     than it tags with, which is the whole storage trick of the paper — see
     :class:`repro.core.history.BingoHistoryTable`).
 
+    Each set is one dict whose order runs least- to most-recently used:
+    a touch re-inserts the tag at the end, and a fill into a full set
+    evicts the first tag.  Split index/tag schemes (the history table)
+    can legally hold the same tag in several sets.  Payloads must not be
+    None, which the lookups return for "absent".
+
     Parameters
     ----------
     sets, ways:
         Geometry; ``sets`` must be a power of two.
-    policy:
-        Replacement policy name (``lru``/``fifo``/``random``).
     on_evict:
         Optional callback ``(tag, payload) -> None`` invoked whenever a
         valid entry is displaced or explicitly invalidated.
@@ -50,28 +45,17 @@ class SetAssociativeTable(Generic[P]):
         self,
         sets: int,
         ways: int,
-        policy: str = "lru",
         on_evict: Optional[Callable[[int, P], None]] = None,
     ) -> None:
         if sets <= 0 or sets & (sets - 1):
             raise ValueError(f"sets must be a positive power of two, got {sets}")
+        if ways <= 0:
+            raise ValueError(f"ways must be positive, got {ways}")
         self.sets = sets
         self.ways = ways
         self.index_bits = sets.bit_length() - 1
         self.on_evict = on_evict
-        self._entries: List[List[Optional[Entry[P]]]] = [
-            [None] * ways for _ in range(sets)
-        ]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(policy, ways) for _ in range(sets)
-        ]
-        # Location index over the valid entries: (set, tag) -> way.  The
-        # tables sit on the simulator's miss path (every LLC eviction
-        # probes Bingo's filter *and* accumulation tables per core), so
-        # lookups must not pay a linear way scan.  Keyed by set as well
-        # as tag because split index/tag schemes (the history table) can
-        # legally hold the same tag in several sets.
-        self._where: dict = {}
+        self._sets: List[Dict[int, P]] = [{} for _ in range(sets)]
         # fold() walks the 64-bit hash in index_bits-wide steps — ~20
         # Python-loop iterations for a small table.  Keys recur heavily
         # (spatial locality), so memoise the fold per table.
@@ -79,7 +63,7 @@ class SetAssociativeTable(Generic[P]):
 
     # -- geometry -------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._where)
+        return sum(map(len, self._sets))
 
     @property
     def capacity(self) -> int:
@@ -107,60 +91,32 @@ class SetAssociativeTable(Generic[P]):
         ``index`` overrides the set index (for split index/tag schemes);
         ``touch`` controls whether the hit updates recency.
         """
-        set_idx = self.set_index(key) if index is None else index
-        way = self._where.get((set_idx, key))
-        if way is None:
-            return None
-        if touch:
-            self._policies[set_idx].touch(way)
-        return self._entries[set_idx][way].payload
+        entries = self._sets[self.set_index(key) if index is None else index]
+        if not touch:
+            return entries.get(key)
+        payload = entries.pop(key, None)
+        if payload is not None:
+            entries[key] = payload
+        return payload
 
-    def scan_set(self, index: int) -> List[Tuple[int, int, P]]:
-        """All valid entries of a set as ``(way, tag, payload)`` tuples.
-
-        Order is physical way order; combine with :meth:`recency_rank` to
-        sort by recency (Bingo's most-recent-match heuristic).
-        """
-        return [
-            (way, entry.tag, entry.payload)
-            for way, entry in enumerate(self._entries[index])
-            if entry is not None
-        ]
-
-    def recency_rank(self, index: int, way: int) -> int:
-        """Recency of a way within its set (0 = MRU). LRU policy only."""
-        policy = self._policies[index]
-        if not isinstance(policy, LruPolicy):
-            raise TypeError("recency_rank requires the LRU policy")
-        return policy.recency_rank(way)
+    def scan_set(self, index: int) -> List[Tuple[int, P]]:
+        """All entries of a set as ``(tag, payload)``, least recent first."""
+        return list(self._sets[index].items())
 
     # -- updates ----------------------------------------------------------------
     def insert(self, key: int, payload: P, index: Optional[int] = None) -> None:
-        """Insert or overwrite the entry tagged ``key``.
+        """Insert or overwrite the entry tagged ``key``, making it MRU.
 
-        If the key is already present its payload is replaced in place and
-        recency updated; otherwise a victim is chosen by the policy (an
-        invalid way if any) and the displaced entry, if valid, is reported
+        A fill into a full set first evicts the LRU entry and reports it
         through ``on_evict``.
         """
-        set_idx = self.set_index(key) if index is None else index
-        ways = self._entries[set_idx]
-        policy = self._policies[set_idx]
-        where = self._where
-        hit = where.get((set_idx, key))
-        if hit is not None:
-            ways[hit].payload = payload
-            policy.touch(hit)
-            return
-        way = policy.victim()
-        old = ways[way]
-        if old is not None:
-            del where[(set_idx, old.tag)]
+        entries = self._sets[self.set_index(key) if index is None else index]
+        if entries.pop(key, None) is None and len(entries) >= self.ways:
+            old_tag = next(iter(entries))
+            old = entries.pop(old_tag)
             if self.on_evict is not None:
-                self.on_evict(old.tag, old.payload)
-        ways[way] = Entry(key, payload)
-        where[(set_idx, key)] = way
-        policy.insert(way)
+                self.on_evict(old_tag, old)
+        entries[key] = payload
 
     def invalidate(self, key: int, index: Optional[int] = None) -> Optional[P]:
         """Remove the entry tagged ``key``; returns its payload if present.
@@ -168,44 +124,21 @@ class SetAssociativeTable(Generic[P]):
         The eviction callback fires for explicit invalidations too, since
         owners use it to commit in-flight state.
         """
-        set_idx = self.set_index(key) if index is None else index
-        way = self._where.pop((set_idx, key), None)
-        if way is None:
-            return None
-        ways = self._entries[set_idx]
-        entry = ways[way]
-        ways[way] = None
-        self._policies[set_idx].invalidate(way)
-        if self.on_evict is not None:
-            self.on_evict(entry.tag, entry.payload)
-        return entry.payload
+        payload = self.pop(key, index)
+        if payload is not None and self.on_evict is not None:
+            self.on_evict(key, payload)
+        return payload
 
     def pop(self, key: int, index: Optional[int] = None) -> Optional[P]:
         """Remove the entry tagged ``key`` *without* firing ``on_evict``."""
-        set_idx = self.set_index(key) if index is None else index
-        way = self._where.pop((set_idx, key), None)
-        if way is None:
-            return None
-        ways = self._entries[set_idx]
-        entry = ways[way]
-        ways[way] = None
-        self._policies[set_idx].invalidate(way)
-        return entry.payload
+        entries = self._sets[self.set_index(key) if index is None else index]
+        return entries.pop(key, None)
 
     def items(self) -> List[Tuple[int, P]]:
-        """All valid ``(tag, payload)`` pairs, set-major order."""
-        return [
-            (entry.tag, entry.payload)
-            for ways in self._entries
-            for entry in ways
-            if entry is not None
-        ]
+        """All ``(tag, payload)`` pairs, set-major, least recent first."""
+        return [item for entries in self._sets for item in entries.items()]
 
     def clear(self) -> None:
         """Drop all entries without firing eviction callbacks."""
-        for set_idx in range(self.sets):
-            for way in range(self.ways):
-                if self._entries[set_idx][way] is not None:
-                    self._entries[set_idx][way] = None
-                    self._policies[set_idx].invalidate(way)
-        self._where.clear()
+        for entries in self._sets:
+            entries.clear()

@@ -91,7 +91,6 @@ class BingoHistoryTable:
         self._table: SetAssociativeTable[_HistoryPayload] = SetAssociativeTable(
             sets=sets,
             ways=ways,
-            policy="lru",
             on_evict=self._handle_evict if on_evict is not None else None,
         )
 
@@ -139,23 +138,22 @@ class BingoHistoryTable:
 
         # Long event missed: rescan the same set matching only the
         # short-event bits (the gray path of Fig. 5).
-        matches: List[tuple] = [
-            (way, entry_payload)
-            for way, _tag, entry_payload in self._table.scan_set(index)
+        # scan_set runs least- to most-recently used, so the last match is
+        # the most recent one.
+        matches: List[_HistoryPayload] = [
+            entry_payload
+            for _tag, entry_payload in self._table.scan_set(index)
             if entry_payload.pc == pc and entry_payload.offset == offset
         ]
         if not matches:
             return None
         if len(matches) == 1 or self.short_match_policy == "most_recent":
-            way, payload = min(
-                matches, key=lambda m: self._table.recency_rank(index, m[0])
-            )
             return HistoryMatch(
-                footprint=payload.footprint.copy(),
+                footprint=matches[-1].footprint.copy(),
                 matched=EventKind.PC_OFFSET,
                 num_matches=len(matches),
             )
-        voted = vote([payload.footprint for _way, payload in matches],
+        voted = vote([payload.footprint for payload in matches],
                      self.vote_threshold)
         return HistoryMatch(
             footprint=voted, matched=EventKind.PC_OFFSET, num_matches=len(matches)

@@ -10,11 +10,11 @@ stress.  This module extracts the policy decision into an explicit
 interface and provides a zoo of implementations plus an OPT (Belady)
 oracle as the upper-bound baseline.
 
-The interface is *block-keyed*, not way-keyed (contrast
-:mod:`repro.common.replacement`, which manages opaque way indices for
-the generic tables): the cache model stores residency in per-set dicts,
-so policies track recency/frequency state against block numbers and
-return a victim *block*.  The contract, enforced by the conformance
+The interface is *block-keyed*: the cache model stores residency in
+per-set dicts, so policies track recency/frequency state against block
+numbers and return a victim *block*.  (The prefetchers' own tables,
+:class:`repro.common.table.SetAssociativeTable`, are LRU-only and keep
+no policy object.)  The contract, enforced by the conformance
 suite (``tests/memsys/test_replacement_conformance.py``):
 
 * ``touch(set_index, block)`` — the resident block was referenced

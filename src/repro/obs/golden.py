@@ -25,8 +25,9 @@ from repro.sim.engine import SimulationEngine, SimulationParams
 from repro.workloads.registry import make_workload
 
 #: the prefetchers pinned by the golden suite (Bingo + the paper's
-#: closest competitors with distinct mechanisms: spatial, offset, delta)
-GOLDEN_PREFETCHERS = ("bingo", "sms", "bop", "spp")
+#: closest competitors with distinct mechanisms: spatial, offset, delta),
+#: plus VLDP and stride so every SetAssociativeTable owner is pinned
+GOLDEN_PREFETCHERS = ("bingo", "sms", "bop", "spp", "vldp", "stride")
 
 #: fixture schema version — bump when the *format* (not the simulated
 #: behaviour) of the fixture files changes

@@ -43,20 +43,16 @@ FASTPATH_VERSION = 2
 #: Version of the vectorized batch-replay tier (``repro.sim.vector``).
 #: Bump on any change to its kernels or barrier handling; the executor
 #: folds it into result-cache digests alongside ``FASTPATH_VERSION``.
-#: Defined here (not in the vector package) so digests can be computed
-#: on numpy-free installs, where the tier merely never engages.
 #: v2: batched miss path (misspath.py) + drain mode + per-reason demotion.
 #: v3: interval-timeline sampling at barriers; stretch rewind on demotion.
 VECTOR_VERSION = 3
 
 #: Process-local counts of which engine tier each ``run()`` selected.
 #: ``demoted`` counts vectorized runs that handed off to the compiled
-#: loop mid-run, and the ``demoted_*`` keys break that total down by
-#: reason (see ``VectorReplay._should_demote``): ``stretch_probe`` — the
-#: density probe tripped (only when ``DEMOTE_STRETCH`` is raised above
-#: its 0 default); ``ineligible_policy`` — an LLC replacement-policy
-#: interface or Belady oracle keeps the miss path in fallback mode on a
-#: miss-dense trace; ``hazard`` — the batched-verdict hazard-rate valve.
+#: loop mid-run.  The one reason left, ``demoted_ineligible_policy``
+#: (see ``VectorReplay._should_demote``), is an LLC replacement-policy
+#: interface or Belady oracle keeping the miss path in fallback mode on
+#: a miss-dense trace, so it always equals ``demoted``.
 #: Diagnostics only — deliberately *not* routed into ``SimResult`` or
 #: ``raw_stats``, which must stay byte-identical across tiers.
 _TIER_RUNS = {
@@ -64,8 +60,6 @@ _TIER_RUNS = {
     "compiled": 0,
     "general": 0,
     "demoted": 0,
-    "demoted_stretch_probe": 0,
-    "demoted_hazard": 0,
     "demoted_ineligible_policy": 0,
 }
 
@@ -268,23 +262,14 @@ class SimulationEngine:
 
         Requires everything :meth:`_fast_path_eligible` does (so a
         timeline run qualifies, and only trace sinks force the generator
-        loop), plus:
-
-        * prefetchers (if any) observe the **LLC** — the vector tier
-          batches L1 hits, so an L1-training prefetcher would miss its
-          input stream.  ``train_at="l1"`` stays eligible only for the
-          no-prefetcher baseline, where the L1 eviction hook is inert;
-        * numpy imports (``repro.sim.vector`` is the capability probe).
+        loop), and that the prefetchers (if any) observe the **LLC** — the
+        vector tier batches L1 hits, so an L1-training prefetcher would
+        miss its input stream.  ``train_at="l1"`` stays eligible only for
+        the no-prefetcher baseline, where the L1 eviction hook is inert.
         """
         if not (self.vectorized and self._fast_path_eligible()):
             return False
-        if self.prefetchers and self.hierarchy.train_at != "llc":
-            return False
-        try:
-            import repro.sim.vector  # noqa: F401
-        except ImportError:
-            return False
-        return True
+        return not self.prefetchers or self.hierarchy.train_at == "llc"
 
     def _run_until_compiled(self, arenas, cursors, budget_per_core: int) -> None:
         """:meth:`_run_until`, specialised for packed compiled traces.

@@ -1,25 +1,8 @@
-"""Vectorized batch-replay engine tier (requires NumPy).
-
-Importing this package is the engine's capability probe: it raises a
-clear ``ImportError`` when NumPy is missing, and
-``SimulationEngine._vector_path_eligible`` treats that as "tier
-unavailable" and falls back to the scalar compiled loop.  Keeping the
-probe here (rather than scattering ``try: import numpy`` through the
-kernels) means a numpy-free install degrades in exactly one place —
-and the import-surface test can assert the failure is loud.
-"""
+"""Vectorized batch-replay engine tier (NumPy)."""
 
 from __future__ import annotations
 
-try:
-    import numpy  # noqa: F401
-except ImportError as exc:  # pragma: no cover - exercised via tests
-    raise ImportError(
-        "repro.sim.vector requires numpy (declared in pyproject.toml as "
-        "numpy>=1.24); install it or run with vectorized=False"
-    ) from exc
-
-from repro.sim.vector.classify import (  # noqa: E402
+from repro.sim.vector.classify import (
     CLS_COMPUTE,
     CLS_HIT,
     CLS_MISS,
@@ -29,7 +12,7 @@ from repro.sim.vector.classify import (  # noqa: E402
     reclassify_set,
     reclassify_vpage,
 )
-from repro.sim.vector.replay import VectorReplay  # noqa: E402
+from repro.sim.vector.replay import VectorReplay
 
 __all__ = [
     "CLS_COMPUTE",

@@ -76,16 +76,6 @@ MODE_MIRROR = "mirror"
 MODE_LEAN = "lean"
 MODE_FALLBACK = "fallback"
 
-#: hazard safety valve: fraction of planned batch members whose mirror
-#: verdict was invalidated by a same-set ordering hazard above which the
-#: run demotes to the compiled loop (reason "hazard").  Hazard members
-#: re-resolve against the live structures and stay exact, so this is a
-#: performance valve, not a correctness one; the default (> 1) never
-#: fires naturally and tests monkeypatch it down.
-HAZARD_DEMOTE_RATE = 2.0
-#: minimum planned members before the hazard valve is consulted
-HAZARD_MIN_PLANNED = 64
-
 _U64 = np.uint64
 
 
@@ -186,11 +176,6 @@ class MissPath:
         else:
             self.service = self._service_fallback
 
-        # diagnostics consumed by the demotion logic and bench report
-        self.planned = 0  # batch members carrying a precomputed verdict
-        self.hazards = 0  # verdicts invalidated by a same-set hazard
-        self.gate_skips = 0  # merge probes skipped by the batched gate
-
     # -- batched classification -------------------------------------------
     def prepare_chunk(self, cs, chunk) -> None:
         """Pre-resolve a classified chunk's known-block barriers.
@@ -244,7 +229,6 @@ class MissPath:
             sg = self.set_gen
             mp.hit = hit.tolist()
             mp.gen = [sg[s] for s in si.tolist()]
-            self.planned += mp.n
         else:
             mp.hit = None
             mp.gen = None
@@ -321,8 +305,6 @@ class MissPath:
         if merged is not None:
             self.mshr_stats[core_id].add("merges")
             return (merged - now) + self.l1_hit, False
-        if not probe:
-            self.gate_skips += 1
         start = self._mshr_reserve(mshr, core_id, now)
         now2 = start + self.l1_hit
 
@@ -386,8 +368,6 @@ class MissPath:
         if merged is not None:
             self.mshr_stats[core_id].add("merges")
             return (merged - now) + self.l1_hit, False
-        if not probe:
-            self.gate_skips += 1
         start = self._mshr_reserve(mshr, core_id, now)
         now2 = start + self.l1_hit
 
@@ -403,8 +383,6 @@ class MissPath:
         if pe is not None and mp.gen[pe] == self.set_gen[si]:
             state = None if not mp.hit[pe] else self.llc_sets[si].get(block)
         else:
-            if pe is not None:
-                self.hazards += 1
             state = self.llc_sets[si].get(block)
         if state is not None:
             entries = self.llc_sets[si]
@@ -488,11 +466,3 @@ class MissPath:
             self.c_queued.value += 1
             self.c_queue_cycles.value += queue_delay
         return queue_delay + service
-
-    # -- demotion support ---------------------------------------------------
-    def hazard_rate_exceeded(self) -> bool:
-        """The hazard safety valve (reason "hazard"); see module consts."""
-        return (
-            self.planned >= HAZARD_MIN_PLANNED
-            and self.hazards >= HAZARD_DEMOTE_RATE * self.planned
-        )

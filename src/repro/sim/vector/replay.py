@@ -58,19 +58,19 @@ semantics but batches everything that does not touch shared state:
   (:data:`DRAIN_ENTER` / :data:`DRAIN_EXIT`) keeps the mode stable,
   and the core re-enters batch mode when stretches lengthen.
 
-* **Demotion as a safety valve.**  With the drain mode carrying
-  miss-dense stretches, the vector tier no longer hands miss-dense
-  runs to the compiled loop: :data:`DEMOTE_STRETCH` defaults to 0, so
-  the density probe always passes.  Demotion remains for two cases,
-  counted per reason in ``engine_tier_counters()``: runs whose LLC has
-  a replacement-policy interface or Belady oracle attached (the miss
-  path's ``fallback`` mode keeps the scalar ``_llc_access`` per miss,
-  so sub-:data:`DEMOTE_STRETCH_FALLBACK` stretches demote, reason
-  ``ineligible_policy``) and a batched-verdict hazard-rate valve
-  (reason ``hazard``).  The handoff itself is unchanged: core state is
-  written back exactly as at end-of-advance and the array L1s are
-  materialised into the real ``Cache`` objects in stamp (LRU) order,
-  so the compiled loop continues from byte-identical state.
+* **Demotion for policy-interface runs only.**  With the drain mode
+  carrying miss-dense stretches, the vector tier never hands a
+  native-LRU run to the compiled loop.  Demotion remains for runs whose
+  LLC has a replacement-policy interface or Belady oracle attached: the
+  miss path's ``fallback`` mode keeps the scalar ``_llc_access`` per
+  miss, so a run whose mean stretch after :data:`PROBE_BARRIERS`
+  barriers is below :data:`DEMOTE_STRETCH_FALLBACK` records demotes
+  (counted as ``ineligible_policy`` in ``engine_tier_counters()``).
+  Long-stretch runs stay, which beats sending such policies to the
+  compiled loop up front.  The handoff writes core state back exactly
+  as at end-of-advance and materialises the array L1s into the real
+  ``Cache`` objects in stamp (LRU) order, so the compiled loop
+  continues from byte-identical state.
 
 * **Timeline samples without a generator loop.**  Barriers execute in
   global ``(dispatch, core_id)`` order and the LLC/DRAM counters a
@@ -120,16 +120,12 @@ ATTEMPT_MAX = 4096
 #: a violation this close to the attempt start counts as "early"; two
 #: in a row switch the stretch to the scalar kernel for one ROB window
 EARLY_VIOLATION = 16
-#: demotion probe: after this many barriers, compare the mean stretch
+#: demotion probe (``fallback`` miss-path mode only): after this many
+#: barriers, compare the mean stretch
 PROBE_BARRIERS = 512
-#: mean records-per-barrier below which the probe demotes.  0 by
-#: default: with the drain mode carrying dense stretches the probe
-#: always passes; the module global stays because tests (and callers
-#: wanting the old behaviour) monkeypatch it up.
-DEMOTE_STRETCH = 0
-#: probe threshold for the miss path's ``fallback`` mode (LLC policy
-#: interface or Belady oracle attached): every miss still pays the full
-#: scalar ``_llc_access``, so dense runs are better off compiled
+#: mean records-per-barrier below which the probe demotes: with an LLC
+#: policy interface or Belady oracle attached every miss still pays the
+#: full scalar ``_llc_access``, so dense runs are better off compiled
 DEMOTE_STRETCH_FALLBACK = 24
 
 #: drain-mode hysteresis, in mean records between barriers: a core
@@ -301,8 +297,7 @@ class VectorReplay:
         self.recorder = engine.timeline
         self.demoted = False
         self._barriers_seen = 0
-        self._probe_done = False
-        self._demote_reason = "stretch_probe"
+        self._probe_done = self.misspath.mode != MODE_FALLBACK
 
     # -- the driver -------------------------------------------------------
     def advance(self, budget_per_core: int) -> None:
@@ -355,7 +350,7 @@ class VectorReplay:
         if self.demoted:
             if recorder is not None:
                 self._rewind_stretches()
-            self._materialize_l1(self._demote_reason)
+            self._materialize_l1()
             self._advance_demoted(budget_per_core)
 
     # -- timeline sampling (timeline runs only) ---------------------------
@@ -491,26 +486,13 @@ class VectorReplay:
             h._l1_hits[cs.core_id].value -= hits
 
     def _should_demote(self) -> bool:
-        """Demotion safety valves; see the module docstring."""
+        """The ``fallback``-mode stretch probe; see the module docstring."""
         self._barriers_seen += 1
-        if self.misspath.hazard_rate_exceeded():
-            self._demote_reason = "hazard"
-            return True
         if self._barriers_seen < PROBE_BARRIERS:
             return False
-        stretch = DEMOTE_STRETCH
-        if self.misspath.mode == MODE_FALLBACK:
-            if DEMOTE_STRETCH_FALLBACK > stretch:
-                stretch = DEMOTE_STRETCH_FALLBACK
-            reason = "ineligible_policy"
-        else:
-            reason = "stretch_probe"
+        self._probe_done = True
         replayed = sum(cs.count for cs in self.cores)
-        if replayed >= self._barriers_seen * stretch:
-            self._probe_done = True  # batching (or draining) pays, stay
-            return False
-        self._demote_reason = reason
-        return True
+        return replayed < self._barriers_seen * DEMOTE_STRETCH_FALLBACK
 
     def _advance_demoted(self, budget_per_core: int) -> None:
         """Hand the rest of the run to the scalar compiled loop."""
@@ -524,7 +506,7 @@ class VectorReplay:
         cursors = [core._count for core in engine.cores]
         engine._run_until_compiled(arenas, cursors, budget_per_core)
 
-    def _materialize_l1(self, reason: str) -> None:
+    def _materialize_l1(self) -> None:
         """Rebuild the real L1 ``Cache`` objects from the array mirrors.
 
         The compiled loop probes the real ``OrderedDict`` sets, which
@@ -540,7 +522,7 @@ class VectorReplay:
         from repro.sim.engine import _TIER_RUNS
 
         _TIER_RUNS["demoted"] += 1
-        _TIER_RUNS["demoted_" + reason] += 1
+        _TIER_RUNS["demoted_ineligible_policy"] += 1
         ways = self.ways
         for cs in self.cores:
             l1 = self.h.l1ds[cs.core_id]

@@ -81,6 +81,20 @@ class TestShortEventLookup:
         match = table.lookup(pc=1, block=999, offset=0)
         assert match.footprint == fp(0, 9)  # the newer entry
 
+    def test_most_recent_means_most_recently_touched(self):
+        """A long-event hit refreshes recency, so "most recent" is the last
+        entry touched, not the last one inserted."""
+        table = small_table(short_match_policy="most_recent")
+        table.insert(pc=1, block=100, offset=0, footprint=fp(0, 2))
+        table.insert(pc=1, block=200, offset=0, footprint=fp(0, 9))
+        assert table.lookup(pc=1, block=100, offset=0).matched is (
+            EventKind.PC_ADDRESS
+        )
+        match = table.lookup(pc=1, block=999, offset=0)
+        assert match.matched is EventKind.PC_OFFSET
+        assert match.num_matches == 2
+        assert match.footprint == fp(0, 2)
+
     def test_events_of_one_trigger_share_a_set(self):
         """The design invariant: both lookups probe the same set, so a
         short match never requires a second index computation."""

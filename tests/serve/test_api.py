@@ -96,8 +96,6 @@ class TestRoutes:
             "vectorized",
             "compiled",
             "demoted",
-            "demoted_stretch_probe",
-            "demoted_hazard",
             "demoted_ineligible_policy",
         ):
             assert key in tiers

@@ -247,9 +247,9 @@ class TestMissDenseStaysVectorized:
             "batched miss path should keep it resident"
         )
 
-    def test_demotion_reasons_are_counted(self):
-        """Per-reason demotion counters: a forced stretch demotion must
-        land in ``demoted_stretch_probe`` and nowhere else."""
+    def test_demotion_reasons_are_counted(self, monkeypatch):
+        """A forced demotion of a fallback-mode (``arc``) run lands in
+        ``demoted_ineligible_policy``."""
         import repro.sim.vector.replay as replay_mod
 
         system = small_system(num_cores=4)
@@ -257,27 +257,18 @@ class TestMissDenseStaysVectorized:
         compiled = compile_workload(
             make_workload("zipf", seed=7, scale=SCALE), records_per_core=2000
         )
-        probe, stretch = replay_mod.PROBE_BARRIERS, replay_mod.DEMOTE_STRETCH
-        replay_mod.PROBE_BARRIERS = 16
-        replay_mod.DEMOTE_STRETCH = 10**9
-        try:
-            before = engine_tier_counters()
-            SimulationEngine(
-                compiled, "bingo", system, params, vectorized=True
-            ).run()
-            after = engine_tier_counters()
-        finally:
-            replay_mod.PROBE_BARRIERS = probe
-            replay_mod.DEMOTE_STRETCH = stretch
+        monkeypatch.setattr(replay_mod, "PROBE_BARRIERS", 16)
+        monkeypatch.setattr(replay_mod, "DEMOTE_STRETCH_FALLBACK", 10**9)
+        before = engine_tier_counters()
+        SimulationEngine(
+            compiled, "bingo", system, params, vectorized=True,
+            replacement="arc",
+        ).run()
+        after = engine_tier_counters()
         assert after["demoted"] == before["demoted"] + 1
         assert (
-            after["demoted_stretch_probe"]
-            == before["demoted_stretch_probe"] + 1
-        )
-        assert after["demoted_hazard"] == before["demoted_hazard"]
-        assert (
             after["demoted_ineligible_policy"]
-            == before["demoted_ineligible_policy"]
+            == before["demoted_ineligible_policy"] + 1
         )
 
 
@@ -325,8 +316,12 @@ class TestEligibilityAndFallback:
 
 
 class TestDemotion:
-    def test_demotion_handoff_is_byte_identical(self):
-        """Force a mid-run demotion and hold the result to equality."""
+    def test_demotion_handoff_is_byte_identical(self, monkeypatch):
+        """Force a mid-run demotion and hold the result to equality.
+
+        Only a fallback-mode run can demote, so the LLC runs ``arc``
+        (policies do not change which records are L1 misses, so the
+        barriers, and the handoff point, are the LRU run's)."""
         import repro.sim.vector.replay as replay_mod
 
         system = small_system(num_cores=4)
@@ -340,23 +335,22 @@ class TestDemotion:
         source = make_workload("em3d", seed=7, scale=SCALE)
         compiled = compile_workload(source, records_per_core=3000)
         scalar = SimulationEngine(
-            compiled, "bingo", system, params, obs=obs, vectorized=False
+            compiled, "bingo", system, params, obs=obs, vectorized=False,
+            replacement="arc",
         ).run()
         generator = SimulationEngine(
-            source, "bingo", system, params, obs=obs, vectorized=False
+            source, "bingo", system, params, obs=obs, vectorized=False,
+            replacement="arc",
         ).run()
-        probe, stretch = replay_mod.PROBE_BARRIERS, replay_mod.DEMOTE_STRETCH
-        replay_mod.PROBE_BARRIERS = 128
-        replay_mod.DEMOTE_STRETCH = 10**9  # always demote at the probe
-        try:
-            before = engine_tier_counters()["demoted"]
-            vector = SimulationEngine(
-                compiled, "bingo", system, params, obs=obs, vectorized=True
-            ).run()
-            assert engine_tier_counters()["demoted"] == before + 1
-        finally:
-            replay_mod.PROBE_BARRIERS = probe
-            replay_mod.DEMOTE_STRETCH = stretch
+        monkeypatch.setattr(replay_mod, "PROBE_BARRIERS", 128)
+        # always demote at the probe
+        monkeypatch.setattr(replay_mod, "DEMOTE_STRETCH_FALLBACK", 10**9)
+        before = engine_tier_counters()["demoted"]
+        vector = SimulationEngine(
+            compiled, "bingo", system, params, obs=obs, vectorized=True,
+            replacement="arc",
+        ).run()
+        assert engine_tier_counters()["demoted"] == before + 1
         assert len(vector.timeline) == -(-12_000 // 7)
         assert vector.to_dict() == scalar.to_dict() == generator.to_dict()
 

@@ -1,88 +1,11 @@
-"""Import-surface contract of the optional-but-pinned numpy dependency.
+"""Import-surface contract of the numpy dependency.
 
-``numpy>=1.24`` is a hard install dependency (pyproject.toml), but the
-engine is written to *degrade*, not crash, if it is somehow absent
-(stripped containers, vendored subset installs): the vectorized tier's
-package import is the capability probe, and it must fail loudly with a
-message that names both the missing package and the escape hatch.
+``numpy>=1.24`` is a hard install dependency (pyproject.toml): the
+vectorized engine tier imports it unconditionally, and there is no
+numpy-free fallback path.
 """
 
 from __future__ import annotations
-
-import builtins
-import importlib
-import sys
-
-import pytest
-
-
-def _reimport_without_numpy(monkeypatch, module: str):
-    """Import ``module`` fresh with every numpy import raising."""
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError(f"No module named {name!r}")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    for cached in [
-        name
-        for name in sys.modules
-        if name == module or name.startswith(module + ".")
-    ]:
-        monkeypatch.delitem(sys.modules, cached, raising=False)
-    return importlib.import_module(module)
-
-
-def test_vector_package_fails_loudly_without_numpy(monkeypatch):
-    with pytest.raises(ImportError, match="numpy"):
-        _reimport_without_numpy(monkeypatch, "repro.sim.vector")
-
-
-def test_vector_import_error_names_the_escape_hatch(monkeypatch):
-    with pytest.raises(ImportError, match="vectorized=False"):
-        _reimport_without_numpy(monkeypatch, "repro.sim.vector")
-
-
-def test_engine_degrades_to_compiled_tier_without_numpy(monkeypatch):
-    """A numpy-free install still simulates — on the scalar tiers."""
-    from repro.common.config import small_system
-    from repro.sim.compile import compile_workload
-    from repro.sim.engine import SimulationEngine, SimulationParams
-    from repro.workloads.registry import make_workload
-
-    system = small_system(num_cores=4)
-    params = SimulationParams(
-        instructions_per_core=2000, warmup_instructions=500
-    )
-    workload = compile_workload(
-        make_workload("streaming", seed=7, scale=0.02),
-        records_per_core=params.instructions_per_core,
-    )
-    engine = SimulationEngine(
-        workload, "none", system, params, vectorized=True
-    )
-
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError(f"No module named {name!r}")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    for cached in [
-        name
-        for name in sys.modules
-        if name == "repro.sim.vector"
-        or name.startswith("repro.sim.vector.")
-    ]:
-        monkeypatch.delitem(sys.modules, cached, raising=False)
-
-    assert not engine._vector_path_eligible()
-    result = engine.run()
-    assert result.cores[0].instructions == 1500
 
 
 def test_pyproject_pins_numpy_floor():
