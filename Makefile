@@ -29,14 +29,14 @@ bench:
 bench-report:
 	$(PYTHON) benchmarks/bench_engine_speed.py --workers 4
 
-# vectorized-tier focus: prove the three tiers agree, then run the
-# pytest-sized matrix and print the tier-engagement counters
+# vectorized-tier focus: prove the vector tier and the reference loop
+# agree, then run the pytest-sized matrix and print the tier counters
 bench-vector:
-	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_compiled_path_matches_generator -q
+	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_vector_tier_matches_generator -q
 	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_engine_speed --benchmark-only -s
 
-# batched-miss-path gate: two miss-dense points, three tiers each;
-# fails if the vector tier demotes or any tier's SimResult diverges
+# batched-miss-path gate: two miss-dense points, two tiers each; fails
+# if a point leaves the vector tier or its SimResult diverges
 bench-misspath:
 	$(PYTHON) benchmarks/bench_engine_speed.py --misspath
 

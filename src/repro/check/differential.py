@@ -523,12 +523,13 @@ def run_check(
 
     ``vectorized=True`` (implies ``compile``) additionally runs the same
     configuration through the NumPy batch-replay tier and diffs its
-    ``SimResult`` field for field against the scalar compiled run the
-    harness just vouched for; any mismatch is reported as a
-    ``vector-replay`` divergence.  The tier cannot host the event-level
-    harness directly (it replays L1 hits without emitting events), so
-    the result-level diff against the harnessed reference is exactly
-    the guarantee the tier claims: byte-identical ``SimResult`` objects.
+    ``SimResult`` field for field against an unharnessed run of the
+    reference loop the harness just vouched for; any mismatch is
+    reported as a ``vector-replay`` divergence.  The tier cannot host
+    the event-level harness directly (it replays L1 hits without
+    emitting events), so the result-level diff against the harnessed
+    reference is exactly the guarantee the tier claims: byte-identical
+    ``SimResult`` objects.
 
     ``replacement`` selects the LLC policy for every engine built here.
     The reference LLC is replacement-agnostic — it mirrors residency
@@ -617,7 +618,7 @@ def run_check(
             instructions_per_core=instructions_per_core,
             warmup_instructions=warmup_instructions,
         )
-        scalar = SimulationEngine(
+        reference = SimulationEngine(
             workload=workload_obj, prefetcher=prefetcher, system=system,
             params=params, vectorized=False, replacement=replacement,
         ).run()
@@ -625,7 +626,7 @@ def run_check(
             workload=workload_obj, prefetcher=prefetcher, system=system,
             params=params, vectorized=True, replacement=replacement,
         ).run()
-        sd, vd = scalar.to_dict(), vector.to_dict()
+        sd, vd = reference.to_dict(), vector.to_dict()
         if sd != vd:
             keys = sorted(
                 key for key in set(sd) | set(vd) if sd.get(key) != vd.get(key)
@@ -634,8 +635,8 @@ def run_check(
                 Divergence(
                     kind="vector-replay",
                     detail=(
-                        "vectorized SimResult differs from the scalar "
-                        f"compiled run in fields: {', '.join(keys)}"
+                        "vectorized SimResult differs from the reference "
+                        f"loop's in fields: {', '.join(keys)}"
                     ),
                     event_index=-1,
                 )

@@ -100,13 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run under cProfile and print the hottest "
                             "functions (simulator performance debugging)")
     run_p.add_argument("--no-compile", action="store_true",
-                       help="replay the live workload generators instead "
-                            "of a packed compiled trace (results are "
-                            "identical; see docs/performance.md)")
-    run_p.add_argument("--no-vectorized", action="store_true",
-                       help="disable the NumPy batch-replay engine tier "
-                            "(results are identical; see "
-                            "docs/performance.md)")
+                       help="replay the live workload generators on the "
+                            "reference engine loop instead of a packed "
+                            "compiled trace on the vector tier (results "
+                            "are identical; see docs/performance.md)")
     run_p.add_argument("--replacement", default="lru",
                        choices=available_replacements(),
                        help="LLC replacement policy (default: lru; 'opt' "
@@ -158,9 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "of a shared packed compiled trace (the "
                               "compiled-trace cache lives next to the "
                               "result cache under $REPRO_CACHE_DIR)")
-    sweep_p.add_argument("--no-vectorized", action="store_true",
-                         help="disable the NumPy batch-replay engine tier "
-                              "for every sweep point")
     sweep_p.add_argument("--replacement", default="lru",
                          choices=available_replacements(),
                          help="LLC replacement policy for every sweep "
@@ -374,7 +368,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         scale=EXPERIMENT_SCALE,
         compile=not args.no_compile,
-        vectorized=not args.no_vectorized,
         replacement=args.replacement,
     )
 
@@ -488,7 +481,6 @@ def _cmd_sweep(args) -> int:
         scale=EXPERIMENT_SCALE,
         executor=executor,
         compile=not args.no_compile,
-        vectorized=not args.no_vectorized,
         replacement=args.replacement,
     )
     rows = []

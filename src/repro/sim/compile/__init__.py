@@ -7,8 +7,8 @@ generators *once* into packed flat arrays (``array('Q')`` pc/address
 words plus one flag byte per record), caches the arenas on disk keyed by
 the full trace identity, and hands the engine a
 :class:`~repro.sim.compile.workload.CompiledWorkload` it can replay
-either through the general loop (exact ``Workload`` contract) or through
-the allocation-free fast path (``SimulationEngine._run_until_compiled``).
+either through the reference loop (exact ``Workload`` contract) or
+through the NumPy batch-replay tier (:mod:`repro.sim.vector`).
 
 See ``docs/performance.md`` for the cache layout, invalidation keys, and
 when the fast path engages.

@@ -32,35 +32,26 @@ from repro.prefetchers.registry import make_prefetcher
 from repro.sim.compile.workload import CompiledWorkload
 from repro.sim.results import CoreResult, SimResult
 
-#: Version of the specialised compiled-trace inner loop.  Bump on any
-#: change to ``_run_until_compiled`` (or the state it mirrors from
-#: ``CoreTimingModel``): the executor folds it into result-cache digests
-#: so entries produced by an older fast path are never served.
-#: v2: samples interval timelines in segments (timeline runs no longer
-#: fall back to the general loop).
-FASTPATH_VERSION = 2
-
 #: Version of the vectorized batch-replay tier (``repro.sim.vector``).
 #: Bump on any change to its kernels or barrier handling; the executor
-#: folds it into result-cache digests alongside ``FASTPATH_VERSION``.
+#: folds it into result-cache digests.
 #: v2: batched miss path (misspath.py) + drain mode + per-reason demotion.
 #: v3: interval-timeline sampling at barriers; stretch rewind on demotion.
-VECTOR_VERSION = 3
+#: v4: every core starts in drain mode; the demotion handoff is gone.
+VECTOR_VERSION = 4
 
-#: Process-local counts of which engine tier each ``run()`` selected.
-#: ``demoted`` counts vectorized runs that handed off to the compiled
-#: loop mid-run.  The one reason left, ``demoted_ineligible_policy``
-#: (see ``VectorReplay._should_demote``), is an LLC replacement-policy
-#: interface or Belady oracle keeping the miss path in fallback mode on
-#: a miss-dense trace, so it always equals ``demoted``.
-#: Diagnostics only — deliberately *not* routed into ``SimResult`` or
-#: ``raw_stats``, which must stay byte-identical across tiers.
+#: Process-local counts of which engine tier each ``run()`` selected:
+#: ``vectorized`` (the fast tier) or ``general`` (the reference loop).
+#: ``compiled`` and ``demoted`` name tiers that no longer exist and stay
+#: 0; they are kept because the benchmark's ``perfbench/layers.TIERS``
+#: reads them.  Diagnostics only — deliberately *not* routed into
+#: ``SimResult`` or ``raw_stats``, which must stay byte-identical across
+#: tiers.
 _TIER_RUNS = {
     "vectorized": 0,
     "compiled": 0,
     "general": 0,
     "demoted": 0,
-    "demoted_ineligible_policy": 0,
 }
 
 
@@ -107,11 +98,13 @@ class SimulationEngine:
         :class:`~repro.obs.sinks.TraceSink` (ring buffers, recorders).
         A sink built *here* from ``obs.trace_path`` is owned by the
         engine and closed when :meth:`run` returns.  ``vectorized``
-        permits the NumPy batch-replay tier when the run qualifies
-        (see :meth:`_vector_path_eligible`); results are identical
-        either way.  ``replacement`` selects the LLC policy from
-        :mod:`repro.memsys.replacement`; ``"opt"`` needs next-use
-        knowledge and therefore a compiled workload to pre-scan."""
+        is the fast/reference switch: it permits the NumPy batch-replay
+        tier when the run qualifies (see :meth:`_vector_path_eligible`);
+        off, or on a run that does not qualify, the reference loop runs.
+        Results are identical either way.  ``replacement`` selects the
+        LLC policy from :mod:`repro.memsys.replacement`; ``"opt"`` needs
+        next-use knowledge and therefore a compiled workload to
+        pre-scan."""
         self.workload = workload
         self.vectorized = vectorized
         if replacement not in available_replacements():
@@ -122,6 +115,9 @@ class SimulationEngine:
         self.replacement = replacement
         #: fixed chunk size for the vectorized tier (tests); None = adaptive
         self._vector_chunk: Optional[int] = None
+        #: start every vector-tier core in batch mode instead of its drain
+        #: walk (tests only: keeps the batch kernels covered from the start)
+        self._vector_batch_start = False
         self.system = system if system is not None else SystemConfig()
         self.params = params if params is not None else SimulationParams()
         self.prefetcher_name = prefetcher
@@ -189,8 +185,8 @@ class SimulationEngine:
             else None
         )
         #: retired-instruction position of the next timeline sample; every
-        #: tier advances it as it samples, so phases and a mid-run tier
-        #: handoff continue one cadence
+        #: tier advances it as it samples, so both phases continue one
+        #: cadence
         self._next_sample = self.obs.timeline_interval
 
     # -- phases -----------------------------------------------------------
@@ -238,162 +234,29 @@ class SimulationEngine:
             if core.instructions < budget_per_core:
                 heapq.heappush(heap, (core.next_issue_time(), core_id))
 
-    def _fast_path_eligible(self) -> bool:
-        """True when the specialised compiled-trace loop may replace
-        :meth:`_run_until`.
+    def _vector_path_eligible(self) -> bool:
+        """True when the NumPy batch-replay tier may replace the
+        reference loop (:meth:`_run_until`).
 
-        The fast path skips per-record sink guards, so it only engages
-        when the sink is provably inert: the module-level ``NULL_SINK``.
-        An interval timeline does not disqualify it — the fast tiers
-        take byte-identical samples themselves (see
-        :meth:`_run_until_compiled` and ``VectorReplay``).  A trace sink,
-        or a trace compiled shorter than the run, falls back to the
-        general loop, byte-for-byte.
+        The tier replays packed arenas, so the workload must be compiled
+        and cover the run's budget.  It skips per-record sink guards, so
+        it only engages when the sink is provably inert: the module-level
+        ``NULL_SINK`` (an interval timeline does not disqualify it — the
+        tier takes byte-identical samples itself, see ``VectorReplay``).
+        It batches L1 hits, so prefetchers (if any) must observe the
+        **LLC**: ``train_at="l1"`` stays eligible only for the
+        no-prefetcher baseline, where the L1 eviction hook is inert.
+        Everything else — ``vectorized=False`` included — runs the
+        reference loop, byte-for-byte.
         """
         return (
-            isinstance(self.workload, CompiledWorkload)
+            self.vectorized
+            and isinstance(self.workload, CompiledWorkload)
             and self.sink is NULL_SINK
             and self.workload.records_per_core
             >= self.params.instructions_per_core
+            and (not self.prefetchers or self.hierarchy.train_at == "llc")
         )
-
-    def _vector_path_eligible(self) -> bool:
-        """True when the NumPy batch-replay tier may run this simulation.
-
-        Requires everything :meth:`_fast_path_eligible` does (so a
-        timeline run qualifies, and only trace sinks force the generator
-        loop), and that the prefetchers (if any) observe the **LLC** — the
-        vector tier batches L1 hits, so an L1-training prefetcher would
-        miss its input stream.  ``train_at="l1"`` stays eligible only for
-        the no-prefetcher baseline, where the L1 eviction hook is inert.
-        """
-        if not (self.vectorized and self._fast_path_eligible()):
-            return False
-        return not self.prefetchers or self.hierarchy.train_at == "llc"
-
-    def _run_until_compiled(self, arenas, cursors, budget_per_core: int) -> None:
-        """:meth:`_run_until`, specialised for packed compiled traces.
-
-        Replays the packed pc/address/flag words directly — no
-        ``TraceRecord`` allocation, no generator frames — and inlines
-        :class:`~repro.cpu.core.CoreTimingModel`'s dispatch/retire
-        arithmetic over local mirrors of its state (written back on
-        exit, before any snapshot can observe them).  Every float is
-        produced by the same operations in the same order as the
-        general loop, so results are bit-identical; the equivalence
-        suite (``tests/sim/test_compile.py``) holds this to
-        field-for-field ``SimResult`` equality.
-
-        The heap pops exactly ``remaining`` records, so the loop runs in
-        segments of a known pop count: the whole phase when the timeline
-        is off, otherwise up to the next sample position, where the
-        global retired count equals the generator loop's and the sample
-        reads the mirrors.  Records already retired past ``_next_sample``
-        on entry (a vector-tier handoff) are sampled before the first pop.
-        """
-        cores = self.cores
-        access = self.hierarchy.access
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        # local mirrors of per-core CoreTimingModel state
-        counts = [core._count for core in cores]
-        last_dispatch = [core._last_dispatch for core in cores]
-        last_retire = [core._last_retire for core in cores]
-        last_load_complete = [core._last_load_complete for core in cores]
-        rings = [core._retire_ring for core in cores]
-        robs = [core._rob for core in cores]
-        intervals = [core._dispatch_interval for core in cores]
-        pcs = [arena.pcs for arena in arenas]
-        addresses = [arena.addresses for arena in arenas]
-        flags = [arena.flags for arena in arenas]
-
-        heap = []
-        for core_id in range(len(cores)):
-            count = counts[core_id]
-            if count < budget_per_core:
-                dispatch = last_dispatch[core_id] + intervals[core_id]
-                if count >= robs[core_id]:
-                    ready = rings[core_id][count % robs[core_id]]
-                    if ready > dispatch:
-                        dispatch = ready
-                heap.append((dispatch, core_id))
-        heapq.heapify(heap)
-        recorder = self.timeline
-        remaining = sum(
-            budget_per_core - count for count in counts if count < budget_per_core
-        )
-        retired = sum(counts)
-
-        try:
-            while True:
-                if recorder is not None:
-                    while retired >= self._next_sample:
-                        recorder.sample(retired, list(zip(counts, last_retire)))
-                        self._next_sample += recorder.interval
-                    segment = min(remaining, self._next_sample - retired)
-                else:
-                    segment = remaining
-                if not segment:
-                    break
-                remaining -= segment
-                retired += segment
-                for _ in range(segment):
-                    _, core_id = heappop(heap)
-                    index = cursors[core_id]
-                    cursors[core_id] = index + 1
-                    count = counts[core_id]
-                    ring = rings[core_id]
-                    rob = robs[core_id]
-                    # next_issue_time()
-                    dispatch = last_dispatch[core_id] + intervals[core_id]
-                    if count >= rob:
-                        ready = ring[count % rob]
-                        if ready > dispatch:
-                            dispatch = ready
-                    bits = flags[core_id][index]
-                    if bits:  # memory instruction
-                        issue = dispatch
-                        if bits & 4:  # depends_on_prev_load
-                            arrived = last_load_complete[core_id]
-                            if arrived > issue:
-                                issue = arrived
-                        result = access(
-                            core_id,
-                            pcs[core_id][index],
-                            addresses[core_id][index],
-                            issue,
-                            bool(bits & 2),  # is_write
-                        )
-                        complete = issue + result.latency
-                        if not bits & 2:
-                            last_load_complete[core_id] = complete
-                    else:
-                        complete = dispatch + 1.0  # CoreTimingModel.ALU_LATENCY
-                    retire = last_retire[core_id]
-                    if complete > retire:
-                        retire = complete
-                    ring[count % rob] = retire
-                    count += 1
-                    counts[core_id] = count
-                    last_dispatch[core_id] = dispatch
-                    last_retire[core_id] = retire
-                    if count < budget_per_core:
-                        dispatch = dispatch + intervals[core_id]
-                        if count >= rob:
-                            ready = ring[count % rob]
-                            if ready > dispatch:
-                                dispatch = ready
-                        heappush(heap, (dispatch, core_id))
-        finally:
-            # write the mirrors back so snapshots/results see the same
-            # state the general loop would have left (even on error)
-            for core_id, core in enumerate(cores):
-                core._count = counts[core_id]
-                core._last_dispatch = last_dispatch[core_id]
-                core._last_retire = last_retire[core_id]
-                core._last_load_complete = last_load_complete[core_id]
-                core._stat_instructions.value = counts[core_id]
-                core._stat_cycles.value = last_retire[core_id]
 
     # -- the full run -----------------------------------------------------------
     def run(self) -> SimResult:
@@ -411,20 +274,8 @@ class SimulationEngine:
         if self._vector_path_eligible():
             from repro.sim.vector import VectorReplay
 
-            replay = VectorReplay(self, chunk_records=self._vector_chunk)
-            advance = replay.advance
+            advance = VectorReplay(self).advance
             _TIER_RUNS["vectorized"] += 1
-        elif self._fast_path_eligible():
-            _TIER_RUNS["compiled"] += 1
-            arenas = [
-                self.workload.packed(core_id)
-                for core_id in range(self.system.num_cores)
-            ]
-            cursors = [0] * self.system.num_cores
-
-            def advance(budget: int) -> None:
-                self._run_until_compiled(arenas, cursors, budget)
-
         else:
             _TIER_RUNS["general"] += 1
             streams = {

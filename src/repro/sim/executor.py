@@ -42,12 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
 from repro.obs.config import ObservabilityConfig
-from repro.sim.engine import (
-    FASTPATH_VERSION,
-    VECTOR_VERSION,
-    SimulationEngine,
-    SimulationParams,
-)
+from repro.sim.engine import VECTOR_VERSION, SimulationEngine, SimulationParams
 from repro.sim.results import SimResult
 
 #: bump when the cache entry layout (not the simulated semantics) changes
@@ -186,13 +181,14 @@ class SimJob:
     train_at: str = "llc"
     obs: ObservabilityConfig = field(default_factory=ObservabilityConfig)
     #: replay a packed compiled trace (shared across the sweep via the
-    #: on-disk trace cache) instead of re-draining the generators; the
-    #: two paths produce identical results, but the flag is still part
-    #: of the job identity because it selects the execution machinery
+    #: on-disk trace cache) instead of re-draining the generators; only
+    #: a compiled trace can take the fast (vector) tier.  Results are
+    #: identical either way, but the flag is still part of the job
+    #: identity because it selects the execution machinery
     compile: bool = True
-    #: permit the NumPy batch-replay tier when the run qualifies; like
-    #: ``compile``, results are identical either way but the flag is
-    #: part of the job identity because it selects execution machinery
+    #: the fast/reference switch: permit the vector tier when the run
+    #: qualifies, or force the reference loop; like ``compile``, results
+    #: are identical either way but the flag is part of the job identity
     vectorized: bool = True
     #: LLC replacement policy (a ``repro.memsys.replacement`` registry
     #: name); "lru" is the paper's configuration and the native fast path
@@ -299,9 +295,8 @@ class SimJob:
     def digest(self) -> str:
         """Stable cache key: job spec + code version + cache schema.
 
-        The engine fast-path and vector-tier versions ride along so a
-        change to either specialised loop invalidates every entry it
-        could have produced.
+        The vector-tier version rides along so a change to the fast
+        tier invalidates every entry it could have produced.
         """
         from repro import __version__
 
@@ -309,7 +304,6 @@ class SimJob:
             {
                 "schema": CACHE_SCHEMA,
                 "version": __version__,
-                "fastpath": FASTPATH_VERSION,
                 "vector": VECTOR_VERSION,
                 "job": self.spec(),
             },

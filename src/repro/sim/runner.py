@@ -52,10 +52,10 @@ def run_simulation(
 
     ``compile=True`` packs the workload's streams into a compiled trace
     first (cached on disk for named workloads, where the trace identity
-    is fully known), enabling the engine's allocation-free replay loop;
-    results are identical either way.  ``vectorized`` (default on)
-    additionally permits the NumPy batch-replay tier when the run
-    qualifies — again with identical results.
+    is fully known), which the engine's NumPy batch-replay tier needs;
+    ``vectorized`` (default on) permits that tier when the run
+    qualifies, and off forces the reference loop.  Results are
+    identical either way.
 
     ``replacement`` selects the LLC replacement policy by registry name
     (:mod:`repro.memsys.replacement`); ``"opt"`` — the Belady oracle —

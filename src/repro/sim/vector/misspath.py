@@ -54,8 +54,8 @@ Execution runs in one of three modes, chosen once per run:
   every touch, so there is nothing sound to batch).
 
 Every float here is produced by the same operations in the same order
-as ``MemoryHierarchy.access`` — byte-identical ``SimResult``\\ s across
-all three engine tiers remain the hard invariant, enforced by
+as ``MemoryHierarchy.access`` — ``SimResult``\\ s byte-identical to the
+reference loop's remain the hard invariant, enforced by
 ``bingo-sim check --vectorized`` and the hypothesis property suite.
 """
 

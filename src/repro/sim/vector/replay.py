@@ -1,9 +1,10 @@
 """NumPy batch replay over packed trace arenas: the vectorized tier.
 
-The scalar compiled loop (:meth:`SimulationEngine._run_until_compiled`)
-interleaves cores by a dispatch-time heap and walks records one at a
-time.  This module replays the same packed traces with the same global
-semantics but batches everything that does not touch shared state:
+The reference loop (:meth:`SimulationEngine._run_until`) interleaves
+cores by a dispatch-time heap and walks records one at a time.  This
+module replays the same traces from their packed arenas with the same
+global semantics, and is the engine's only fast tier.  It batches
+everything that does not touch shared state:
 
 * **Barrier decomposition.**  Only L1 *misses* reach shared machinery
   (per-core MSHRs keyed by call order, the shared LLC/DRAM, the
@@ -44,33 +45,22 @@ semantics but batches everything that does not touch shared state:
   verdicts are invalidated by cross-core ordering hazards re-resolve
   against the live structures, so outcomes stay exact.
 
-* **A scalar drain mode for miss-dense stretches.**  Batching only
+* **A scalar drain mode, where every core starts.**  Batching only
   pays when stretches between barriers are long; on miss-dense traces
   (the ``mix*`` workloads run ~74 % L1 miss rates under cold caches)
   chunk classification, reclassification, and the per-barrier tail
-  scan are pure overhead.  Instead of demoting the whole run, each
-  core tracks its recent records-per-barrier and *drains* dense
-  stretches scalar: frame lookups are still batched per window
+  scan are pure overhead.  Each core therefore *drains* its records
+  scalar — frame lookups are still batched per window
   (:func:`repro.sim.vector.classify.resolve_blocks`), but records walk
-  a plain-Python loop against a residency dict — the compiled loop's
-  arithmetic verbatim, minus its heap and per-record hierarchy calls —
-  and barriers go through the same inlined miss path.  Hysteresis
-  (:data:`DRAIN_ENTER` / :data:`DRAIN_EXIT`) keeps the mode stable,
-  and the core re-enters batch mode when stretches lengthen.
-
-* **Demotion for policy-interface runs only.**  With the drain mode
-  carrying miss-dense stretches, the vector tier never hands a
-  native-LRU run to the compiled loop.  Demotion remains for runs whose
-  LLC has a replacement-policy interface or Belady oracle attached: the
-  miss path's ``fallback`` mode keeps the scalar ``_llc_access`` per
-  miss, so a run whose mean stretch after :data:`PROBE_BARRIERS`
-  barriers is below :data:`DEMOTE_STRETCH_FALLBACK` records demotes
-  (counted as ``ineligible_policy`` in ``engine_tier_counters()``).
-  Long-stretch runs stay, which beats sending such policies to the
-  compiled loop up front.  The handoff writes core state back exactly
-  as at end-of-advance and materialises the array L1s into the real
-  ``Cache`` objects in stamp (LRU) order, so the compiled loop
-  continues from byte-identical state.
+  a plain-Python loop against a residency dict, the reference loop's
+  arithmetic minus its heap and per-record hierarchy calls — and its
+  barriers go through the same inlined miss path.  Every core starts
+  in drain mode, since every run starts cold and miss-dense; each
+  tracks its recent records-per-barrier, and hysteresis
+  (:data:`DRAIN_ENTER` / :data:`DRAIN_EXIT`) moves it to batch mode
+  once its stretches lengthen, and back when they shorten.  LLC
+  policy-interface and Belady-oracle runs (the miss path's
+  ``fallback`` mode) take the same walk.
 
 * **Timeline samples without a generator loop.**  Barriers execute in
   global ``(dispatch, core_id)`` order and the LLC/DRAM counters a
@@ -82,15 +72,13 @@ semantics but batches everything that does not touch shared state:
   total could have crossed the next sample, the stretch's dispatch keys
   and retire times are recovered by re-running its timing arithmetic
   (every record in a stretch is an L1 hit or compute), and the sample
-  is cut at the exact global position.  A demotion rewinds parked
-  cores to their stretch starts so the compiled loop's retire count
-  continues the generator's.  None of this runs without a timeline.
+  is cut at the exact global position.  None of this runs without a
+  timeline.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import bisect_left, bisect_right
 from typing import List, Optional
 
@@ -105,7 +93,7 @@ from repro.sim.vector.classify import (
     reclassify_vpage,
     resolve_blocks,
 )
-from repro.sim.vector.misspath import MODE_FALLBACK, MissPath
+from repro.sim.vector.misspath import MissPath
 
 #: starting / bounding chunk sizes (records) for adaptive chunking
 DEFAULT_CHUNK = 4096
@@ -120,13 +108,6 @@ ATTEMPT_MAX = 4096
 #: a violation this close to the attempt start counts as "early"; two
 #: in a row switch the stretch to the scalar kernel for one ROB window
 EARLY_VIOLATION = 16
-#: demotion probe (``fallback`` miss-path mode only): after this many
-#: barriers, compare the mean stretch
-PROBE_BARRIERS = 512
-#: mean records-per-barrier below which the probe demotes: with an LLC
-#: policy interface or Belady oracle attached every miss still pays the
-#: full scalar ``_llc_access``, so dense runs are better off compiled
-DEMOTE_STRETCH_FALLBACK = 24
 
 #: drain-mode hysteresis, in mean records between barriers: a core
 #: below ENTER switches its batching off; above EXIT switches it back.
@@ -213,17 +194,19 @@ class _CoreState:
         self.chunk_records = DEFAULT_CHUNK
         self.pend_hits = 0
         self.barriers = 0
-        # drain mode: Python-list twins of stamp/ring (authoritative
+        # drain mode, where every core starts (runs begin cold and
+        # miss-dense): Python-list twins of stamp/ring (authoritative
         # while draining; synced at mode switches) plus the current
-        # window's resolved blocks/pages/flags
-        self.drain = False
-        self.stamp_list = None
-        self.ring_list = None
+        # window's resolved blocks/pages/flags (win_end == count forces
+        # the first window's prep)
+        self.drain = True
+        self.stamp_list = self.stamp.tolist()
+        self.ring_list = self.ring.tolist()
         self.blk = None
         self.vp = None
         self.fl = None
-        self.win_base = 0
-        self.win_end = 0
+        self.win_base = self.count
+        self.win_end = self.count
         self.dec_count = self.count
         self.dec_barriers = 0
         # scratch buffers for the attempt kernels (never observable)
@@ -264,7 +247,7 @@ class _Stretch:
 class VectorReplay:
     """Batch-replays a compiled workload against the engine's hierarchy."""
 
-    def __init__(self, engine, chunk_records: Optional[int] = None) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
         h = engine.hierarchy
         self.h = h
@@ -276,9 +259,7 @@ class VectorReplay:
         self.hit_lat = l1cfg.hit_latency
         self.ways = l1cfg.ways
         self.set_mask = np.uint64(l1cfg.sets - 1)
-        if chunk_records is None:
-            env = os.environ.get("REPRO_VECTOR_CHUNK")
-            chunk_records = int(env) if env else None
+        chunk_records = engine._vector_chunk
         self.fixed_chunk = chunk_records
         self.cores: List[_CoreState] = []
         for core_id, core in enumerate(engine.cores):
@@ -286,6 +267,8 @@ class VectorReplay:
             cs = _CoreState(core_id, arena, core, l1cfg.sets, l1cfg.ways)
             if chunk_records is not None:
                 cs.chunk_records = max(1, chunk_records)
+            if engine._vector_batch_start:
+                self._sync_to_batch(cs)
             self.cores.append(cs)
         # whether a full-ring window (m >= rob) can ever bind mid-attempt:
         # within-attempt completes trail the chain by at most max(hit, ALU)
@@ -295,16 +278,10 @@ class VectorReplay:
         self.rob_slack = rob * interval >= max(self.hit_lat, 1.0) + 1.0
         self.misspath = MissPath(self)
         self.recorder = engine.timeline
-        self.demoted = False
-        self._barriers_seen = 0
-        self._probe_done = self.misspath.mode != MODE_FALLBACK
 
     # -- the driver -------------------------------------------------------
     def advance(self, budget_per_core: int) -> None:
         """Advance every core to ``budget_per_core`` retired instructions."""
-        if self.demoted:
-            self._advance_demoted(budget_per_core)
-            return
         recorder = self.recorder
         try:
             pending = []
@@ -328,9 +305,6 @@ class VectorReplay:
                         self._execute_barrier(cs)
                     if recorder is not None:
                         cs.stretch = _Stretch(cs, before)
-                    if not self._probe_done and self._should_demote():
-                        self.demoted = True
-                        break
                     dispatch = self._run_to_barrier(cs, budget_per_core)
                     if dispatch is None:
                         break
@@ -341,17 +315,10 @@ class VectorReplay:
                     # strictly before every pending one (tuples with
                     # distinct core ids never tie), so the heap would
                     # pop it right back — execute it inline instead
-                if self.demoted:
-                    break
-            if recorder is not None and not self.demoted:
+            if recorder is not None:
                 self._take_samples(None, None)
         finally:
             self._writeback()
-        if self.demoted:
-            if recorder is not None:
-                self._rewind_stretches()
-            self._materialize_l1()
-            self._advance_demoted(budget_per_core)
 
     # -- timeline sampling (timeline runs only) ---------------------------
     def _take_samples(self, ex: Optional[_CoreState], dispatch) -> None:
@@ -457,87 +424,6 @@ class VectorReplay:
         st.keys = keys
         st.retires = retires
         return st
-
-    def _rewind_stretches(self) -> None:
-        """Undo the stretches before a demotion handoff.
-
-        The compiled loop counts retired instructions by its pops, which
-        matches the generator's global count only if nothing was retired
-        out of order.  Rewinding each core to its stretch start restores
-        that; the compiled loop then replays the stretch's hits against
-        the materialised L1, whose stamp order already ranks those blocks
-        last, so their LRU order comes out the same.
-        """
-        h = self.h
-        for cs, core in zip(self.cores, self.engine.cores):
-            st = cs.stretch
-            if cs.count == st.start:
-                continue
-            hits = int(np.count_nonzero(cs.flags[st.start : cs.count] & 1))
-            last_dispatch, last_retire, last_llc, ring = st.state
-            core._count = st.start
-            core._last_dispatch = last_dispatch
-            core._last_retire = last_retire
-            core._last_load_complete = last_llc
-            core._retire_ring[:] = ring
-            core._stat_instructions.value = st.start
-            core._stat_cycles.value = last_retire
-            h._l1_accesses[cs.core_id].value -= hits
-            h._l1_hits[cs.core_id].value -= hits
-
-    def _should_demote(self) -> bool:
-        """The ``fallback``-mode stretch probe; see the module docstring."""
-        self._barriers_seen += 1
-        if self._barriers_seen < PROBE_BARRIERS:
-            return False
-        self._probe_done = True
-        replayed = sum(cs.count for cs in self.cores)
-        return replayed < self._barriers_seen * DEMOTE_STRETCH_FALLBACK
-
-    def _advance_demoted(self, budget_per_core: int) -> None:
-        """Hand the rest of the run to the scalar compiled loop."""
-        engine = self.engine
-        arenas = [
-            engine.workload.packed(core_id)
-            for core_id in range(len(self.cores))
-        ]
-        # record index == retired count: every packed record retires one
-        # instruction, so the cores' own counts are the resume cursors
-        cursors = [core._count for core in engine.cores]
-        engine._run_until_compiled(arenas, cursors, budget_per_core)
-
-    def _materialize_l1(self) -> None:
-        """Rebuild the real L1 ``Cache`` objects from the array mirrors.
-
-        The compiled loop probes the real ``OrderedDict`` sets, which
-        the vector tier never touched.  Residency is the mirror's tag
-        arrays; recency is the stamp order (each stamp is the block's
-        last-touch instruction index, so inserting oldest-first makes
-        ``popitem(last=False)`` evict exactly ``argmin(stamp)``).  L1
-        block metadata needs no reconstruction: the demand fill path
-        always inserts a default ``BlockState`` and hits never mutate
-        it, so order *is* the entire state.
-        """
-        from repro.memsys.cache import BlockState
-        from repro.sim.engine import _TIER_RUNS
-
-        _TIER_RUNS["demoted"] += 1
-        _TIER_RUNS["demoted_ineligible_policy"] += 1
-        ways = self.ways
-        for cs in self.cores:
-            l1 = self.h.l1ds[cs.core_id]
-            stamp = cs.stamp_list if cs.drain else cs.stamp.tolist()
-            tags = cs.tags
-            for set_index, entries in enumerate(l1._sets):
-                filled = cs.valid_count[set_index]
-                if not filled:
-                    continue
-                base = set_index * ways
-                order = sorted(range(filled), key=lambda w: stamp[base + w])
-                for w in order:
-                    entries[int(tags[set_index, w])] = BlockState(
-                        core_id=cs.core_id
-                    )
 
     def _next_dispatch(self, cs: _CoreState) -> float:
         dispatch = cs.last_dispatch + cs.interval
@@ -665,7 +551,7 @@ class VectorReplay:
     def _drain_to_barrier(self, cs: _CoreState, budget: int):
         """Scalar-walk a draining core to its next barrier.
 
-        The compiled loop's per-record arithmetic verbatim — Python
+        The reference loop's per-record arithmetic verbatim — Python
         floats through the same operations in the same order — with
         residency decided by the ``resident`` dict and frame lookups
         pre-batched per window.  Returns the barrier's dispatch time,
@@ -832,7 +718,7 @@ class VectorReplay:
             self._time_vector(cs, chunk, rel0, rel1)
 
     def _time_scalar(self, cs, chunk, rel0: int, rel1: int) -> None:
-        """Scalar-lean kernel: the compiled loop's arithmetic, verbatim."""
+        """Scalar-lean kernel: the reference loop's arithmetic, verbatim."""
         mm = chunk.hitv[rel0:rel1].tolist()
         dd = chunk.depv[rel0:rel1].tolist()
         ll = chunk.loadv[rel0:rel1].tolist()
@@ -1146,7 +1032,7 @@ class VectorReplay:
 
         Runs at the end of every :meth:`advance` (even on error), before
         any snapshot can observe the cores: identical post-state to the
-        scalar loops.
+        reference loop.
         """
         h = self.h
         for cs, core in zip(self.cores, self.engine.cores):

@@ -2,10 +2,10 @@
 
 The refactor's non-negotiable: routing LRU through the policy interface
 (``lru-interface``) must change *nothing* — field-for-field ``SimResult``
-equality against the native fast path, on every engine tier.  And since
-the LLC is the only policy-bearing level and all three tiers funnel LLC
-traffic through the same ``_llc_access``, every registry policy must be
-tier-transparent too.
+equality against the native fast path, on the reference loop and on the
+vector tier from both of its starts.  And since the LLC is the only
+policy-bearing level and every run funnels LLC traffic through the same
+``_llc_access``, every registry policy must be tier-transparent too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ NON_ORACLE = sorted(set(available_replacements()) - {"opt"})
 
 
 def run_tiers(replacement, instructions=2500, warmup=400, seed=7):
-    """One configuration on all three tiers; SimResult dicts by tier."""
+    """One configuration on the reference loop (``generator``) and on the
+    vector tier from its drain start (``vectorized``) and its test-only
+    batch start (``batch``); SimResult dicts by name."""
     system = small_system(num_cores=4)
     params = SimulationParams(
         instructions_per_core=instructions, warmup_instructions=warmup
@@ -36,16 +38,15 @@ def run_tiers(replacement, instructions=2500, warmup=400, seed=7):
         "generator": SimulationEngine(
             source, "bingo", system, params, replacement=replacement
         ).run().to_dict(),
-        "compiled": SimulationEngine(
-            compiled, "bingo", system, params, replacement=replacement
-        ).run().to_dict(),
     }
-    engine = SimulationEngine(
-        compiled, "bingo", system, params, vectorized=True,
-        replacement=replacement,
-    )
-    assert engine._vector_path_eligible()
-    out["vectorized"] = engine.run().to_dict()
+    for name in ("vectorized", "batch"):
+        engine = SimulationEngine(
+            compiled, "bingo", system, params, vectorized=True,
+            replacement=replacement,
+        )
+        engine._vector_batch_start = name == "batch"
+        assert engine._vector_path_eligible()
+        out[name] = engine.run().to_dict()
     return out
 
 
@@ -56,12 +57,12 @@ class TestLruInterfaceByteIdentity:
     def test_interface_lru_identical_to_native_all_tiers(self):
         native = run_tiers("lru")
         routed = run_tiers("lru-interface")
-        for tier in ("generator", "compiled", "vectorized"):
+        for tier in ("generator", "vectorized", "batch"):
             assert routed[tier] == native[tier], tier
 
     def test_native_lru_tiers_agree(self):
         tiers = run_tiers("lru")
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+        assert tiers["vectorized"] == tiers["batch"] == tiers["generator"]
 
 
 @pytest.mark.parametrize("replacement", NON_ORACLE)
@@ -69,7 +70,7 @@ class TestTierTransparency:
     def test_policy_identical_across_tiers(self, replacement):
         """LLC policy choice must be invisible to the tier choice."""
         tiers = run_tiers(replacement, instructions=1500, warmup=300)
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+        assert tiers["vectorized"] == tiers["batch"] == tiers["generator"]
 
 
 class TestOptPlumbing:
@@ -83,7 +84,7 @@ class TestOptPlumbing:
             )
 
     def test_opt_runs_and_diverges_sanely(self):
-        """OPT end-to-end on the compiled tier: it runs, and its LLC
+        """OPT end-to-end on a compiled trace: it runs, and its LLC
         demand-miss count does not exceed native LRU's by more than the
         approximation slack (program-stream oracle vs filtered stream)."""
         system = small_system(num_cores=4)

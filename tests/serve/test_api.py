@@ -92,12 +92,7 @@ class TestRoutes:
         assert "executor_totals" in metrics
         assert "counters" in metrics
         tiers = metrics["engine_tiers"]
-        for key in (
-            "vectorized",
-            "compiled",
-            "demoted",
-            "demoted_ineligible_policy",
-        ):
+        for key in ("vectorized", "compiled", "general", "demoted"):
             assert key in tiers
 
     def test_unknown_route_404(self, api):

@@ -2,8 +2,8 @@
 
 The pipeline's one non-negotiable property is that compiling changes
 *nothing* about a run except its speed: compiled streams replay the
-source generators record-for-record, and the engine's specialised fast
-path produces ``SimResult``\\ s equal field-for-field to the general
+source generators record-for-record, and the engine's fast (vector) tier
+produces ``SimResult``\\ s equal field-for-field to the reference
 loop's.  Everything here enforces that property from a different angle.
 """
 
@@ -196,21 +196,27 @@ class TestTraceCache:
 
 
 # ---------------------------------------------------------------------------
-# Engine fast path vs general loop
+# Engine fast (vector) tier vs reference loop
 # ---------------------------------------------------------------------------
 
 
 class TestFastPathEquivalence:
     @pytest.mark.parametrize("prefetcher", ["none", "bingo", "sms", "bop", "spp"])
     def test_simresults_equal_field_for_field(self, prefetcher):
-        """Regression gate: compiled fast path == generator general loop."""
+        """Regression gate: compiled trace on the vector tier == live
+        generators on the reference loop."""
         compiled = execute_job(quick_job(True, prefetcher))
         generator = execute_job(quick_job(False, prefetcher))
         assert compiled.to_dict() == generator.to_dict()
 
     def test_fast_path_actually_engages(self):
-        """Guard against silently falling back to the general loop."""
-        from repro.sim.engine import SimulationEngine, SimulationParams
+        """Guard against silently falling back to the reference loop: a
+        compiled trace runs on the vectorized tier."""
+        from repro.sim.engine import (
+            SimulationEngine,
+            SimulationParams,
+            engine_tier_counters,
+        )
 
         source = make_workload("streaming", seed=7, scale=SCALE)
         compiled = compile_workload(source, records_per_core=1000)
@@ -222,9 +228,11 @@ class TestFastPathEquivalence:
                 instructions_per_core=1000, warmup_instructions=100
             ),
         )
-        assert engine._fast_path_eligible()
-        engine._run_until = None  # fast path must never touch it
+        assert engine._vector_path_eligible()
+        engine._run_until = None  # the fast tier must never touch it
+        before = engine_tier_counters()["vectorized"]
         engine.run()
+        assert engine_tier_counters()["vectorized"] == before + 1
 
     def test_sink_disables_fast_path_but_replays_compiled_stream(self):
         """With a sink attached the general loop must take over — and the
@@ -242,7 +250,7 @@ class TestFastPathEquivalence:
                 ),
                 sink=sink,
             )
-            assert not engine._fast_path_eligible()
+            assert not engine._vector_path_eligible()
             engine.run()
             return [event.to_dict() for event in sink.events]
 
@@ -263,7 +271,7 @@ class TestFastPathEquivalence:
                 instructions_per_core=800, warmup_instructions=0
             ),
         )
-        assert not engine._fast_path_eligible()
+        assert not engine._vector_path_eligible()
 
     def test_timeline_runs_vectorized_with_same_samples(self):
         """A timeline no longer forces the generator loop: the job runs

@@ -1,13 +1,20 @@
-"""The vectorized batch-replay tier: equivalence, eligibility, demotion.
+"""The vectorized batch-replay tier: equivalence and eligibility.
 
-The tier's one non-negotiable property mirrors the compiled path's: it
-changes *nothing* about a run except its speed.  Every test here holds
-the vectorized engine to field-for-field ``SimResult`` equality against
-the scalar compiled loop and the generator loop — across the full
+The engine's only fast tier changes *nothing* about a run except its
+speed.  Every test here holds it to field-for-field ``SimResult``
+equality against the reference (generator) loop — across the full
 prefetcher zoo, across chunk-boundary edge cases (chunk size 1, a
 boundary exactly on a trigger access, compute-only chunks), and across
-the in-flight demotion handoff — and holds interval-timeline samples,
-which every tier takes itself, to the same equality.
+LLC policy-interface runs — and holds interval-timeline samples, which
+the tier takes itself, to the same equality.
+
+Every core of a vector-tier run starts in its scalar drain walk and
+moves to the batch kernels only once its stretches lengthen, so short
+or miss-dense runs might never reach batch mode.  ``run_tiers`` runs
+the tier from both starts: ``"drain"`` (the real one) and ``"batch"``
+(every core in batch mode from the first record, through the engine's
+test-only ``_vector_batch_start``), and a test below proves that both
+the batch kernels and the drain walker run in this suite.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import small_system
+from repro.cpu.trace import TraceRecord
 from repro.experiments.common import PAPER_PREFETCHERS
 from repro.obs.config import ObservabilityConfig
 from repro.sim.compile import compile_workload
@@ -26,6 +34,8 @@ from repro.sim.engine import (
     engine_tier_counters,
 )
 from repro.sim.executor import SimJob, execute_job
+from repro.sim.vector import VectorReplay
+from repro.workloads.base import homogeneous
 from repro.workloads.registry import (
     STRESS_WORKLOAD_NAMES,
     WORKLOAD_NAMES,
@@ -45,9 +55,13 @@ def run_tiers(
     chunk=None,
     with_generator=True,
     timeline_interval=0,
+    starts=("drain", "batch"),
+    replacement="lru",
 ):
-    """Run one configuration on every tier; return the SimResult dicts
-    (timeline samples included, when ``timeline_interval`` is set)."""
+    """Run one configuration on the reference loop (``"generator"``) and
+    on the vector tier from each of ``starts``; return the SimResult
+    dicts by name (timeline samples included, when ``timeline_interval``
+    is set).  ``chunk`` fixes the vector tier's chunk size."""
     system = small_system(num_cores=4)
     params = SimulationParams(
         instructions_per_core=instructions, warmup_instructions=warmup
@@ -58,66 +72,78 @@ def run_tiers(
     out = {}
     if with_generator:
         out["generator"] = SimulationEngine(
-            source, prefetcher, system, params, obs=obs, vectorized=False
+            source, prefetcher, system, params, obs=obs, vectorized=False,
+            replacement=replacement,
         ).run().to_dict()
-    out["compiled"] = SimulationEngine(
-        compiled, prefetcher, system, params, obs=obs, vectorized=False
-    ).run().to_dict()
-    engine = SimulationEngine(
-        compiled, prefetcher, system, params, obs=obs, vectorized=True
-    )
-    if chunk is not None:
+    for start in starts:
+        engine = SimulationEngine(
+            compiled, prefetcher, system, params, obs=obs, vectorized=True,
+            replacement=replacement,
+        )
         engine._vector_chunk = chunk
-    assert engine._vector_path_eligible()
-    out["vectorized"] = engine.run().to_dict()
+        engine._vector_batch_start = start == "batch"
+        assert engine._vector_path_eligible()
+        out[start] = engine.run().to_dict()
     return out
 
 
+def assert_all_equal(tiers):
+    """Every run in ``tiers`` produced the same SimResult."""
+    assert len(tiers) >= 2
+    first, *rest = tiers
+    for name in rest:
+        assert tiers[name] == tiers[first], f"{name} != {first}"
+
+
 class TestThreeTierEquivalence:
+    """Three runs per point: the reference loop and the vector tier from
+    both starts."""
+
     @pytest.mark.parametrize(
         "prefetcher", ["none", *PAPER_PREFETCHERS]
     )
     def test_zoo_equal_field_for_field(self, prefetcher):
-        """Vectorized == compiled == generator for every prefetcher."""
-        tiers = run_tiers(prefetcher=prefetcher)
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+        """Drain start == batch start == generator for every prefetcher."""
+        assert_all_equal(run_tiers(prefetcher=prefetcher))
 
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_NAMES)[:4])
     def test_across_workloads(self, workload):
-        tiers = run_tiers(workload=workload, instructions=2000, warmup=400)
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+        assert_all_equal(
+            run_tiers(workload=workload, instructions=2000, warmup=400)
+        )
 
     def test_zero_warmup(self):
-        tiers = run_tiers(instructions=1500, warmup=0)
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+        assert_all_equal(run_tiers(instructions=1500, warmup=0))
 
 
 class TestChunkBoundaries:
-    """Decision-boundary chunking must not depend on where chunks fall."""
+    """Decision-boundary chunking must not depend on where chunks fall.
+    Chunks exist only in batch mode, so these runs use the batch start."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
     def test_pathological_chunk_sizes(self, chunk):
         """Chunk size 1 puts *every* boundary on a record — including
         every trigger access; tiny sizes exercise empty and
         compute-only chunks between memory records."""
-        tiers = run_tiers(
-            instructions=1200, warmup=200, chunk=chunk, with_generator=False
+        assert_all_equal(
+            run_tiers(
+                instructions=1200, warmup=200, chunk=chunk, starts=("batch",)
+            )
         )
-        reference = run_tiers(
-            instructions=1200, warmup=200, with_generator=False
-        )
-        assert tiers["vectorized"] == tiers["compiled"]
-        assert tiers["vectorized"] == reference["vectorized"]
 
     def test_boundary_exactly_on_trigger_access(self):
         """Place a chunk boundary on the first L1 miss: with the
         adaptive default the miss lands mid-chunk, with chunk=1 every
-        miss *is* a boundary — both must agree with the scalar loop."""
+        miss *is* a boundary — both must agree with the reference loop."""
         small = run_tiers(
             prefetcher="bingo", instructions=900, warmup=100, chunk=1,
-            with_generator=False,
+            starts=("batch",),
         )
-        assert small["vectorized"] == small["compiled"]
+        adaptive = run_tiers(
+            prefetcher="bingo", instructions=900, warmup=100,
+            starts=("batch",), with_generator=False,
+        )
+        assert small["batch"] == small["generator"] == adaptive["batch"]
 
 
 @settings(
@@ -134,13 +160,15 @@ class TestChunkBoundaries:
     timeline_interval=st.one_of(
         st.just(0), st.integers(min_value=1, max_value=12_000)
     ),
+    start=st.sampled_from(["drain", "batch"]),
 )
-def test_property_three_tier_equality(
+def test_property_two_tier_equality(
     workload, prefetcher, instructions, warmup_fraction, seed,
-    timeline_interval,
+    timeline_interval, start,
 ):
-    """Any (workload, prefetcher, budget, seed, timeline) point: all
-    tiers agree, timeline samples included."""
+    """Any (workload, prefetcher, budget, seed, timeline, start mode)
+    point: the vector tier agrees with the reference loop, timeline
+    samples included."""
     warmup = int(instructions * warmup_fraction)
     tiers = run_tiers(
         workload=workload,
@@ -149,12 +177,13 @@ def test_property_three_tier_equality(
         warmup=warmup,
         seed=seed,
         timeline_interval=timeline_interval,
+        starts=(start,),
     )
-    assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+    assert tiers[start] == tiers["generator"]
 
 
 class TestTimelineAcrossTiers:
-    """Every tier samples the timeline itself, at the generator loop's
+    """The vector tier samples the timeline itself, at the generator loop's
     exact global retire positions.  Each run retires 12000 instructions,
     2000 of them in the warm-up.  em3d's cores dispatch in lockstep
     until their first misses, so barriers tie other cores' stretch keys
@@ -172,8 +201,8 @@ class TestTimelineAcrossTiers:
     )
     def test_samples_equal_on_every_tier(self, interval):
         tiers = run_tiers(workload="em3d", timeline_interval=interval)
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
-        timeline = tiers["vectorized"]["timeline"]
+        assert_all_equal(tiers)
+        timeline = tiers["drain"]["timeline"]
         assert len(timeline) == -(-12_000 // interval)
         assert timeline[-1]["instructions"] == 12_000
 
@@ -181,15 +210,16 @@ class TestTimelineAcrossTiers:
     def test_miss_dense_drain_mode(self, chunk):
         """Drain-mode stretches and tiny chunks: stretch keys recovered
         from both kernels' state."""
-        tiers = run_tiers(
-            workload="zipf",
-            prefetcher="none",
-            instructions=2000,
-            warmup=400,
-            chunk=chunk,
-            timeline_interval=1,
+        assert_all_equal(
+            run_tiers(
+                workload="zipf",
+                prefetcher="none",
+                instructions=2000,
+                warmup=400,
+                chunk=chunk,
+                timeline_interval=1,
+            )
         )
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
 
 
 @settings(
@@ -213,20 +243,21 @@ def test_property_hazard_heavy_equality(
     everywhere.  ``prefetcher="none"`` pins the mirror-mode miss path
     (gen-guard hazards), ``"bingo"`` pins the lean mode (MSHR gate +
     prefetch training at the barrier)."""
-    tiers = run_tiers(
-        workload=workload,
-        prefetcher=prefetcher,
-        instructions=instructions,
-        warmup=instructions // 5,
-        seed=seed,
-        chunk=chunk,
+    assert_all_equal(
+        run_tiers(
+            workload=workload,
+            prefetcher=prefetcher,
+            instructions=instructions,
+            warmup=instructions // 5,
+            seed=seed,
+            chunk=chunk,
+        )
     )
-    assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
 
 
 class TestMissDenseStaysVectorized:
-    """Satellite of the batched-miss-path PR: the tier must no longer
-    demote on miss-dense workloads *and* must stay field-identical."""
+    """Miss-dense runs stay on the vector tier, field-identical — the
+    tier has no handoff to any other loop."""
 
     @pytest.mark.parametrize("workload", ["zipf", "oscillate"])
     @pytest.mark.parametrize("prefetcher", ["none", "bingo"])
@@ -240,47 +271,123 @@ class TestMissDenseStaysVectorized:
             with_generator=False,
         )
         after = engine_tier_counters()
-        assert tiers["vectorized"] == tiers["compiled"]
-        assert after["vectorized"] == before["vectorized"] + 1
-        assert after["demoted"] == before["demoted"], (
-            "vector tier demoted on a miss-dense stress workload — the "
-            "batched miss path should keep it resident"
-        )
+        assert tiers["drain"] == tiers["batch"]
+        assert after["vectorized"] == before["vectorized"] + 2
+        assert after["general"] == before["general"]
+        assert after["demoted"] == 0
 
-    def test_demotion_reasons_are_counted(self, monkeypatch):
-        """A forced demotion of a fallback-mode (``arc``) run lands in
-        ``demoted_ineligible_policy``."""
-        import repro.sim.vector.replay as replay_mod
+    def test_policy_interface_runs_stay_vectorized(self):
+        """LLC policy-interface runs (the miss path's ``fallback`` mode)
+        on a miss-dense trace stay vectorized from both starts and equal
+        the reference loop, timeline samples included."""
+        for replacement in ("arc", "lru-interface"):
+            before = engine_tier_counters()
+            tiers = run_tiers(
+                workload="zipf",
+                prefetcher="none",
+                instructions=3000,
+                warmup=500,
+                timeline_interval=7,
+                replacement=replacement,
+            )
+            after = engine_tier_counters()
+            assert after["vectorized"] == before["vectorized"] + 2
+            assert after["general"] == before["general"] + 1  # the reference
+            assert after["demoted"] == 0
+            assert len(tiers["drain"]["timeline"]) == -(-12_000 // 7)
+            assert_all_equal(tiers)
 
+
+def _phased_stream(rng, core_id):
+    """Alternates two phases.  First a hot loop over 8 L1-resident
+    blocks plus a miss to a fresh block every 400 records: long
+    stretches, with a DRAM-latency retire still in the ROB window at
+    most mode switches.  Then a sweep over fresh blocks: every access a
+    barrier."""
+    hot = (core_id + 1) << 24
+    fresh = hot + (1 << 20)
+    while True:
+        for i in range(10_000):
+            if i % 400 == 399:
+                yield TraceRecord.load(0x580, fresh)
+                fresh += 64
+            elif i % 3:
+                yield TraceRecord.compute(0x400 + i % 7)
+            else:
+                yield TraceRecord(
+                    pc=0x500, address=hot + (i % 8) * 64, is_mem=True,
+                    is_write=rng.random() < 0.1,
+                    depends_on_prev_load=rng.random() < 0.2,
+                )
+        for _ in range(1500):
+            yield TraceRecord.load(0x600, fresh, rng.random() < 0.2)
+            fresh += 64
+
+
+class TestBothModesCovered:
+    def _spy(self, monkeypatch, names):
+        """Count VectorReplay calls by (batch start?, method name)."""
+        calls = {}
+
+        def spy(name):
+            real = getattr(VectorReplay, name)
+
+            def wrapper(self, *args, **kwargs):
+                key = (self.engine._vector_batch_start, name)
+                calls[key] = calls.get(key, 0) + 1
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(VectorReplay, name, wrapper)
+
+        for name in names:
+            spy(name)
+        return calls
+
+    def test_batch_kernels_and_drain_walker_both_run(self, monkeypatch):
+        """With drain-first starts, the batch kernels run only where a
+        core's stretches grow long or a test starts it in batch mode:
+        an equivalence point must run both paths."""
+        batch = ("_load_chunk", "_time_vector", "_execute_barrier")
+        drain = ("_drain_to_barrier", "_execute_barrier_drain")
+        calls = self._spy(monkeypatch, batch + drain)
+        assert_all_equal(run_tiers(workload="streaming", prefetcher="bingo"))
+        for name in batch:
+            assert calls.get((True, name)), f"batch start never ran {name}"
+        for name in drain:
+            assert calls.get((False, name)), f"drain start never ran {name}"
+
+    def test_hysteresis_moves_drain_start_cores_both_ways(self, monkeypatch):
+        """A drain-start core whose stretches grow long moves to batch
+        mode, and back to its drain walk when they shorten — with the
+        result, timeline included, still equal to the reference loop's."""
+        calls = self._spy(monkeypatch, ("_sync_to_batch", "_sync_to_drain"))
         system = small_system(num_cores=4)
-        params = SimulationParams(2000, 300)
-        compiled = compile_workload(
-            make_workload("zipf", seed=7, scale=SCALE), records_per_core=2000
-        )
-        monkeypatch.setattr(replay_mod, "PROBE_BARRIERS", 16)
-        monkeypatch.setattr(replay_mod, "DEMOTE_STRETCH_FALLBACK", 10**9)
-        before = engine_tier_counters()
-        SimulationEngine(
-            compiled, "bingo", system, params, vectorized=True,
-            replacement="arc",
+        params = SimulationParams(24_000, 2_000)
+        obs = ObservabilityConfig(timeline_interval=997)
+        source = homogeneous("phased", _phased_stream)
+        compiled = compile_workload(source, records_per_core=24_000)
+        reference = SimulationEngine(
+            source, "bingo", system, params, obs=obs, vectorized=False
         ).run()
-        after = engine_tier_counters()
-        assert after["demoted"] == before["demoted"] + 1
-        assert (
-            after["demoted_ineligible_policy"]
-            == before["demoted_ineligible_policy"] + 1
-        )
+        vector = SimulationEngine(compiled, "bingo", system, params, obs=obs)
+        assert vector.run().to_dict() == reference.to_dict()
+        assert calls.get((False, "_sync_to_batch"))
+        assert calls.get((False, "_sync_to_drain"))
 
 
 class TestEligibilityAndFallback:
     def test_vector_path_actually_engages(self):
         """Guard against the tier silently never running."""
-        before = engine_tier_counters()["vectorized"]
+        before = engine_tier_counters()
         tiers = run_tiers(instructions=800, warmup=100, with_generator=False)
-        assert engine_tier_counters()["vectorized"] == before + 1
-        assert tiers["vectorized"] == tiers["compiled"]
+        after = engine_tier_counters()
+        assert after["vectorized"] == before["vectorized"] + 2
+        assert after["general"] == before["general"]
+        assert tiers["drain"] == tiers["batch"]
 
     def test_disabled_flag_falls_back_to_compiled(self):
+        """``vectorized=False`` runs the reference (``general``) loop, on
+        a packed trace too."""
         system = small_system(num_cores=4)
         params = SimulationParams(800, 100)
         compiled = compile_workload(
@@ -291,9 +398,14 @@ class TestEligibilityAndFallback:
             compiled, "bingo", system, params, vectorized=False
         )
         assert not engine._vector_path_eligible()
-        assert engine._fast_path_eligible()
+        before = engine_tier_counters()
+        engine.run()
+        after = engine_tier_counters()
+        assert after["general"] == before["general"] + 1
+        assert after["vectorized"] == before["vectorized"]
 
     def test_l1_training_prefetcher_is_ineligible(self):
+        """``train_at="l1"`` with a prefetcher runs the reference loop."""
         system = small_system(num_cores=4)
         params = SimulationParams(800, 100)
         compiled = compile_workload(
@@ -304,6 +416,9 @@ class TestEligibilityAndFallback:
             compiled, "bingo", system, params, train_at="l1", vectorized=True
         )
         assert not engine._vector_path_eligible()
+        before = engine_tier_counters()
+        engine.run()
+        assert engine_tier_counters()["general"] == before["general"] + 1
 
     def test_generator_workload_is_ineligible(self):
         system = small_system(num_cores=4)
@@ -313,46 +428,6 @@ class TestEligibilityAndFallback:
             source, "bingo", system, params, vectorized=True
         )
         assert not engine._vector_path_eligible()
-
-
-class TestDemotion:
-    def test_demotion_handoff_is_byte_identical(self, monkeypatch):
-        """Force a mid-run demotion and hold the result to equality.
-
-        Only a fallback-mode run can demote, so the LLC runs ``arc``
-        (policies do not change which records are L1 misses, so the
-        barriers, and the handoff point, are the LRU run's)."""
-        import repro.sim.vector.replay as replay_mod
-
-        system = small_system(num_cores=4)
-        params = SimulationParams(3000, 500)
-        # with the probe at 128 barriers the handoff comes ~3800
-        # instructions in, with three cores parked mid-stretch; samples
-        # every 7 positions fall on both sides of it and among the
-        # parked stretches' keys, so the compiled loop must continue the
-        # cadence at the same positions
-        obs = ObservabilityConfig(timeline_interval=7)
-        source = make_workload("em3d", seed=7, scale=SCALE)
-        compiled = compile_workload(source, records_per_core=3000)
-        scalar = SimulationEngine(
-            compiled, "bingo", system, params, obs=obs, vectorized=False,
-            replacement="arc",
-        ).run()
-        generator = SimulationEngine(
-            source, "bingo", system, params, obs=obs, vectorized=False,
-            replacement="arc",
-        ).run()
-        monkeypatch.setattr(replay_mod, "PROBE_BARRIERS", 128)
-        # always demote at the probe
-        monkeypatch.setattr(replay_mod, "DEMOTE_STRETCH_FALLBACK", 10**9)
-        before = engine_tier_counters()["demoted"]
-        vector = SimulationEngine(
-            compiled, "bingo", system, params, obs=obs, vectorized=True,
-            replacement="arc",
-        ).run()
-        assert engine_tier_counters()["demoted"] == before + 1
-        assert len(vector.timeline) == -(-12_000 // 7)
-        assert vector.to_dict() == scalar.to_dict() == generator.to_dict()
 
 
 class TestJobIntegration:
