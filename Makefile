@@ -35,7 +35,7 @@ bench-vector:
 	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_vector_tier_matches_generator -q
 	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_engine_speed --benchmark-only -s
 
-# batched-miss-path gate: two miss-dense points, two tiers each; fails
+# miss-path gate: two miss-dense points, two tiers each; fails
 # if a point leaves the vector tier or its SimResult diverges
 bench-misspath:
 	$(PYTHON) benchmarks/bench_engine_speed.py --misspath

@@ -7,7 +7,7 @@ rather than a claim.  Measurements over a Fig. 8-style
 * **serial** — every point through the in-process generator path on
   the reference engine loop;
 * **vectorized** — the same serial matrix replayed from packed compiled
-  traces on the NumPy batch-replay tier, the engine's only fast tier
+  traces on the vector tier, the engine's only fast tier
   (cold trace cache: the first point of each workload pays the compile,
   the rest ``mmap`` the arena), plus how many points the tier ran;
 * **parallel** — the vectorized matrix through ``Executor(workers=N)``
@@ -219,14 +219,24 @@ def measure_inner_loop(
 
 
 def _git_sha() -> str:
-    try:
+    """HEAD's sha, plus ``-dirty`` when tracked files differ from it: a
+    report measured on uncommitted code must not name a commit that did
+    not produce it."""
+
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=str(REPORT_PATH.parent),
             capture_output=True,
             text=True,
             check=True,
         ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        if git("status", "--porcelain", "--untracked-files=no"):
+            sha += "-dirty"
+        return sha
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
@@ -278,7 +288,7 @@ MISSPATH_SMOKE_POINTS = (("zipf", "bingo"), ("oscillate", "bingo"))
 def run_misspath_smoke(
     instructions: int = 20_000, warmup: int = 5_000
 ) -> Dict[str, object]:
-    """CI gate for the batched miss path: run vectorized *and* agree.
+    """CI gate for the vector tier's miss path: run vectorized *and* agree.
 
     Two miss-dense points (``MISSPATH_SMOKE_POINTS``), each run on the
     vector tier and on the reference loop.  Fails (``ok: False``) if a

@@ -522,7 +522,7 @@ def run_check(
     end (``bingo-sim check --compiled``).
 
     ``vectorized=True`` (implies ``compile``) additionally runs the same
-    configuration through the NumPy batch-replay tier and diffs its
+    configuration through the vector tier and diffs its
     ``SimResult`` field for field against an unharnessed run of the
     reference loop the harness just vouched for; any mismatch is
     reported as a ``vector-replay`` divergence.  The tier cannot host

@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "the differential harness consumes packed "
                               "traces instead of live generators")
     check_p.add_argument("--vectorized", action="store_true",
-                         help="check the NumPy batch-replay tier: the "
+                         help="check the vector tier: the "
                               "simulated run replays vectorized (implies "
                               "--compiled) and must still match the "
                               "reference models event for event")

@@ -194,16 +194,6 @@ class Cache:
                 self.on_evict(block, state)
         return state
 
-    # -- state export (vectorized miss path) -------------------------------
-    def export_set(self, set_index: int) -> Tuple[int, ...]:
-        """The set's resident blocks in LRU→MRU order.
-
-        A read-only snapshot for array mirrors (the vectorized tier's
-        batched tag-membership classification); the ``OrderedDict``
-        order *is* native-LRU recency, oldest first.
-        """
-        return tuple(self._sets[set_index].keys())
-
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._sets)

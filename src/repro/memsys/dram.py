@@ -115,13 +115,12 @@ class DramModel:
 
     # -- state export (vectorized miss path) ---------------------------------
     def timing_view(self) -> dict:
-        """The scalars and live structures batched timing kernels need.
+        """The scalars and live structures an inlined access needs.
 
-        Routes are a pure function of the block address (``mix64`` over
-        the row), so a batch can precompute channel/bank/row for every
-        member; the live ``channel_busy``/``open_row`` structures are
-        shared mutable state and any precomputed row verdict must be
-        generation-guarded by the caller (repro.sim.vector.misspath).
+        State-export hook for the vector tier's miss path
+        (:mod:`repro.sim.vector.misspath`): ``channel_busy`` and
+        ``open_row`` are the live shared structures, advanced by the
+        caller in barrier order exactly as :meth:`access` would.
         """
         return {
             "channels": self.config.channels,

@@ -103,7 +103,7 @@ class MemoryHierarchy:
         :mod:`repro.memsys.replacement` ("lru", the default, keeps the
         cache model's native OrderedDict fast path and is byte-identical
         to the pre-zoo engine).  L1 replacement stays native LRU: the
-        vectorized tier mirrors the L1s as stamp arrays, so L1
+        vector tier keeps its own LRU stamps for the L1s, so L1
         pluggability would fork the tiers (docs/replacement.md).
         ``replacement_oracle`` supplies next-use knowledge for "opt";
         the engine builds it from the compiled workload and it is bound

@@ -159,18 +159,6 @@ class MshrFile:
         self.commit(block, completion + (start - now), start=start)
         return start
 
-    def inflight_blocks(self):
-        """Snapshot of the blocks currently registered in flight.
-
-        State-export hook for the vectorized miss path's batched MSHR
-        gate: a block absent from this snapshot (and not re-registered
-        in between) provably cannot merge, so the scalar merge probe
-        can be skipped for it.  Deliberately does *not* expire — a pure
-        read with no clock argument cannot perturb the lazy-expiry
-        order, and unexpired entries only make the gate conservative.
-        """
-        return list(self._inflight)
-
     def merge(self, block: int, now: float) -> Optional[float]:
         """Merge with an in-flight miss; returns its completion time or None."""
         time = self.lookup(block, now)

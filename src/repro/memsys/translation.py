@@ -77,9 +77,9 @@ class RandomFirstTouchTranslator:
     def mapping_view(self) -> Dict[Tuple[int, int], int]:
         """The live ``(core_id, vpage) -> frame`` dict, for batched reads.
 
-        State-export hook for the vectorized tier: chunk classification
-        resolves frames for every *unique* page of a trace slice in one
-        pass over this dict instead of calling :meth:`translate` per
+        State-export hook for the vector tier: its drain walk resolves
+        frames for every *unique* page of a trace window in one pass over
+        this dict instead of calling :meth:`translate` per
         record.  Callers must treat it as read-only — first-touch
         allocation stays behind :meth:`translate` so the seeded PRNG's
         draw order is preserved exactly.

@@ -461,8 +461,9 @@ class SimulationService:
             "experiments_by_state": self.orchestrator.state_counts(),
             "breaker_open_digests": self.supervisor.breaker.open_digests,
             "executor_totals": totals,
-            # which engine tier answered in-process runs: the vector
-            # tier or the reference loop (see repro.sim.engine._TIER_RUNS)
+            # which engine tier answered this node's runs: the vector
+            # tier or the reference loop (see repro.sim.engine._TIER_RUNS;
+            # guarded jobs report their child process's runs back)
             "engine_tiers": engine_tier_counters(),
             # the multi-node tier: per-node gauges, shard ring, steals
             "cluster": self.cluster.snapshot(),

@@ -8,7 +8,7 @@ words plus one flag byte per record), caches the arenas on disk keyed by
 the full trace identity, and hands the engine a
 :class:`~repro.sim.compile.workload.CompiledWorkload` it can replay
 either through the reference loop (exact ``Workload`` contract) or
-through the NumPy batch-replay tier (:mod:`repro.sim.vector`).
+through the vector tier (:mod:`repro.sim.vector`).
 
 See ``docs/performance.md`` for the cache layout, invalidation keys, and
 when the fast path engages.

@@ -16,6 +16,7 @@ same 20/80 split).
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -32,9 +33,9 @@ from repro.prefetchers.registry import make_prefetcher
 from repro.sim.compile.workload import CompiledWorkload
 from repro.sim.results import CoreResult, SimResult
 
-#: Version of the vectorized batch-replay tier (``repro.sim.vector``).
-#: Bump on any change to its kernels or barrier handling; the executor
-#: folds it into result-cache digests.
+#: Version of the vector tier (``repro.sim.vector``).
+#: Bump when a change to its drain walk or barrier handling could change
+#: a result; the executor folds it into result-cache digests.
 #: v2: batched miss path (misspath.py) + drain mode + per-reason demotion.
 #: v3: interval-timeline sampling at barriers; stretch rewind on demotion.
 #: v4: every core starts in drain mode; the demotion handoff is gone.
@@ -46,18 +47,28 @@ VECTOR_VERSION = 4
 #: 0; they are kept because the benchmark's ``perfbench/layers.TIERS``
 #: reads them.  Diagnostics only — deliberately *not* routed into
 #: ``SimResult`` or ``raw_stats``, which must stay byte-identical across
-#: tiers.
+#: tiers.  A job run in a disposable child process
+#: (``Executor.run_job_guarded``) adds its child's counts here.
 _TIER_RUNS = {
     "vectorized": 0,
     "compiled": 0,
     "general": 0,
     "demoted": 0,
 }
+#: service slots fold their jobs' counts in from several threads
+_TIER_LOCK = threading.Lock()
 
 
 def engine_tier_counters() -> Dict[str, int]:
     """Snapshot of per-tier run counts (this process only)."""
     return dict(_TIER_RUNS)
+
+
+def add_tier_runs(runs: Dict[str, int]) -> None:
+    """Add per-tier run counts (a run here, or a child process's runs)."""
+    with _TIER_LOCK:
+        for tier, count in runs.items():
+            _TIER_RUNS[tier] += count
 
 
 @dataclass(frozen=True)
@@ -98,8 +109,8 @@ class SimulationEngine:
         :class:`~repro.obs.sinks.TraceSink` (ring buffers, recorders).
         A sink built *here* from ``obs.trace_path`` is owned by the
         engine and closed when :meth:`run` returns.  ``vectorized``
-        is the fast/reference switch: it permits the NumPy batch-replay
-        tier when the run qualifies (see :meth:`_vector_path_eligible`);
+        is the fast/reference switch: it permits the vector tier when
+        the run qualifies (see :meth:`_vector_path_eligible`);
         off, or on a run that does not qualify, the reference loop runs.
         Results are identical either way.  ``replacement`` selects the
         LLC policy from :mod:`repro.memsys.replacement`; ``"opt"`` needs
@@ -113,11 +124,6 @@ class SimulationEngine:
                 f"available: {available_replacements()}"
             )
         self.replacement = replacement
-        #: fixed chunk size for the vectorized tier (tests); None = adaptive
-        self._vector_chunk: Optional[int] = None
-        #: start every vector-tier core in batch mode instead of its drain
-        #: walk (tests only: keeps the batch kernels covered from the start)
-        self._vector_batch_start = False
         self.system = system if system is not None else SystemConfig()
         self.params = params if params is not None else SimulationParams()
         self.prefetcher_name = prefetcher
@@ -235,16 +241,16 @@ class SimulationEngine:
                 heapq.heappush(heap, (core.next_issue_time(), core_id))
 
     def _vector_path_eligible(self) -> bool:
-        """True when the NumPy batch-replay tier may replace the
-        reference loop (:meth:`_run_until`).
+        """True when the vector tier may replace the reference loop
+        (:meth:`_run_until`).
 
         The tier replays packed arenas, so the workload must be compiled
         and cover the run's budget.  It skips per-record sink guards, so
         it only engages when the sink is provably inert: the module-level
         ``NULL_SINK`` (an interval timeline does not disqualify it — the
         tier takes byte-identical samples itself, see ``VectorReplay``).
-        It batches L1 hits, so prefetchers (if any) must observe the
-        **LLC**: ``train_at="l1"`` stays eligible only for the
+        It retires L1 hits in its own walk, so prefetchers (if any) must
+        observe the **LLC**: ``train_at="l1"`` stays eligible only for the
         no-prefetcher baseline, where the L1 eviction hook is inert.
         Everything else — ``vectorized=False`` included — runs the
         reference loop, byte-for-byte.
@@ -275,9 +281,9 @@ class SimulationEngine:
             from repro.sim.vector import VectorReplay
 
             advance = VectorReplay(self).advance
-            _TIER_RUNS["vectorized"] += 1
+            add_tier_runs({"vectorized": 1})
         else:
-            _TIER_RUNS["general"] += 1
+            add_tier_runs({"general": 1})
             streams = {
                 core_id: self.workload.core_stream(core_id)
                 for core_id in range(self.system.num_cores)

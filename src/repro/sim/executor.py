@@ -42,7 +42,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
 from repro.obs.config import ObservabilityConfig
-from repro.sim.engine import VECTOR_VERSION, SimulationEngine, SimulationParams
+from repro.sim.engine import (
+    VECTOR_VERSION,
+    SimulationEngine,
+    SimulationParams,
+    add_tier_runs,
+    engine_tier_counters,
+)
 from repro.sim.results import SimResult
 
 #: bump when the cache entry layout (not the simulated semantics) changes
@@ -395,6 +401,16 @@ def execute_job_checked(job: SimJob) -> SimResult:
     return result
 
 
+def _run_counting_tiers(runner, job: SimJob):
+    """A guarded job's child-process body: the result, plus the engine
+    tiers its run took, which the parent folds into its own counters
+    (the child's counters die with the child)."""
+    before = engine_tier_counters()
+    result = runner(job)
+    after = engine_tier_counters()
+    return result, {tier: after[tier] - before[tier] for tier in after}
+
+
 # ---------------------------------------------------------------------------
 # On-disk result cache
 # ---------------------------------------------------------------------------
@@ -706,9 +722,9 @@ class Executor:
     ) -> Union[SimResult, JobFailure]:
         pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
         try:
-            future = pool.submit(runner, job)
+            future = pool.submit(_run_counting_tiers, runner, job)
             try:
-                return future.result(timeout)
+                result, tier_runs = future.result(timeout)
             except FutureTimeoutError:
                 _terminate_pool(pool)
                 return JobFailure.timeout(job, timeout or 0.0)
@@ -718,6 +734,8 @@ class Executor:
                 )
             except Exception as exc:
                 return JobFailure.from_exception(job, exc)
+            add_tier_runs(tier_runs)
+            return result
         except BaseException:
             # KeyboardInterrupt/SystemExit: leave no orphaned workers or
             # half-written cache entries behind (stores are atomic, and

@@ -52,7 +52,7 @@ def run_simulation(
 
     ``compile=True`` packs the workload's streams into a compiled trace
     first (cached on disk for named workloads, where the trace identity
-    is fully known), which the engine's NumPy batch-replay tier needs;
+    is fully known), which the engine's vector tier needs;
     ``vectorized`` (default on) permits that tier when the run
     qualifies, and off forces the reference loop.  Results are
     identical either way.

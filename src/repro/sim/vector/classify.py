@@ -1,108 +1,21 @@
-"""Chunk classification: partitioning a trace slice by L1 outcome.
+"""Batched frame resolution for the drain walk.
 
-The vectorized tier rests on one observation about the simulated
-hierarchy: between two L1 misses of one core, *nothing* that core does
-touches shared state.  L1 hits and compute instructions read and write
-only the core's private timing state and its private L1 LRU order, and
-the L1's *contents* change only when a miss fills.  So the set of
-blocks resident in a core's L1 is invariant across any run of
-hit/compute instructions, and the hit/miss outcome of every access in
-that run can be decided up front with one batched tag-membership test.
-
-:func:`classify_chunk` does exactly that for a slice of the packed
-trace: each record is labelled
-
-* ``CLS_COMPUTE`` — not a memory access;
-* ``CLS_HIT`` — its block is resident in the (mirrored) L1 tag array;
-* ``CLS_MISS`` — mapped, but not resident;
-* ``CLS_UNKNOWN`` — its virtual page has no frame yet.  First-touch
-  pages are *always* misses (an unmapped page cannot have a resident
-  block), so unknowns are simply misses whose physical block number is
-  decided later, at the barrier, by the real translator — preserving
-  the shared seeded PRNG's allocation order exactly.
-
-Misses and unknowns are the scalar **barriers**: the replay driver
-stops the batch there and routes the access through the real
-MSHR/LLC/DRAM objects.  A barrier's L1 fill (and possible eviction)
-changes the set it lands in, so the not-yet-replayed tail of the chunk
-is *reclassified* incrementally: :func:`reclassify_set` re-tests only
-the entries indexed into the filled set, and :func:`reclassify_vpage`
-resolves the entries of a just-mapped page.
-
-Beyond the ``kind`` labels the chunk carries derived per-record arrays
-the timing kernels consume directly — ``hitv``/``depv``/``loadv``
-masks, the flat stamp ``slots`` of each hit, and ``addlat`` (the
-latency each record adds to its dispatch time: ALU for compute, the L1
-hit latency for hits).  Computing these once per chunk, and patching
-them in place on reclassification, keeps the per-stretch kernel down
-to a handful of NumPy calls.
+The drain walk (:mod:`repro.sim.vector.replay`) probes L1 residency per
+record by physical block number.  Translating each record through
+:meth:`Translator.translate` would cost a call per access; instead
+:func:`resolve_blocks` resolves a whole window of records in one NumPy
+pass, reading the translator's live ``(core_id, vpage) -> frame`` dict
+once per *unique* page (spatial workloads revisit the same pages, so
+the dict probes amortise to far below one per record).  Records whose
+page has no frame yet stay unresolved: first-touch pages are always L1
+misses, and their frames are allocated later, at the barrier, by the
+real translator — preserving the shared seeded PRNG's allocation order
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: classification codes (uint8): compute / L1 hit / L1 miss / unmapped page
-CLS_COMPUTE = 0
-CLS_HIT = 1
-CLS_MISS = 2
-CLS_UNKNOWN = 3
-
-#: CoreTimingModel.ALU_LATENCY — what a non-memory record adds to dispatch
-_ALU_LATENCY = 1.0
-
-
-class Chunk:
-    """One classified slice ``[start, end)`` of a core's packed trace.
-
-    All arrays are chunk-relative and index-aligned with the trace
-    records; ``block``/``setidx``/``way`` are meaningful only where
-    ``kind`` is ``CLS_HIT`` or ``CLS_MISS``, ``vpage`` only where the
-    record is a memory access.  The derived arrays:
-
-    ``hitv``
-        ``kind == CLS_HIT`` as a bool mask (the records a stretch
-        treats as L1 hits).
-    ``depv`` / ``loadv``
-        hits that depend on the previous load / hits that are loads.
-    ``slots``
-        flat ``set * ways + way`` stamp index per hit (garbage
-        elsewhere).
-    ``addlat``
-        per-record completion delta: hit latency for hits, ALU latency
-        otherwise (barrier positions never read it).
-    """
-
-    __slots__ = (
-        "start",
-        "end",
-        "kind",
-        "block",
-        "setidx",
-        "way",
-        "vpage",
-        "hitv",
-        "depv",
-        "loadv",
-        "slots",
-        "addlat",
-        "depflag",
-        "loadflag",
-        "any_dep",
-        "mp",
-    )
-
-    def __init__(self, start, end, kind, block, setidx, way, vpage) -> None:
-        self.start = start
-        self.end = end
-        self.kind = kind
-        self.block = block
-        self.setidx = setidx
-        self.way = way
-        self.vpage = vpage
-        # batched miss plan (repro.sim.vector.misspath.MissPlan), attached
-        # by the miss path's prepare pass; None means fully scalar barriers
-        self.mp = None
 
 
 def _block_of(frames, vaddrs, page_bits: int, block_bits: int):
@@ -110,93 +23,6 @@ def _block_of(frames, vaddrs, page_bits: int, block_bits: int):
     shift = np.uint64(page_bits - block_bits)
     page_mask = np.uint64((1 << page_bits) - 1)
     return (frames << shift) | ((vaddrs & page_mask) >> np.uint64(block_bits))
-
-
-def _membership(blocks, setidx, tags, valid):
-    """Batched tag-array lookup: (hit mask, matching way) per block."""
-    rows = tags[setidx]
-    match = (rows == blocks[:, None]) & valid[setidx]
-    return match.any(axis=1), match.argmax(axis=1)
-
-
-def _derive(chunk: Chunk, flags, ways: int, hit_lat: float) -> None:
-    """(Re)build the kernel-facing arrays from ``kind`` wholesale."""
-    f = flags[chunk.start : chunk.end]
-    chunk.depflag = (f & 4) != 0
-    chunk.loadflag = (f & 2) == 0
-    chunk.any_dep = bool(chunk.depflag.any())
-    hitv = chunk.kind == CLS_HIT
-    chunk.hitv = hitv
-    chunk.depv = hitv & chunk.depflag
-    chunk.loadv = hitv & chunk.loadflag
-    chunk.slots = chunk.setidx * ways + chunk.way
-    addlat = np.full(chunk.kind.shape, _ALU_LATENCY)
-    addlat[hitv] = hit_lat
-    chunk.addlat = addlat
-
-
-def classify_chunk(
-    start: int,
-    end: int,
-    addrs,
-    flags,
-    mapping,
-    core_id: int,
-    tags,
-    valid,
-    page_bits: int,
-    block_bits: int,
-    set_mask,
-    ways: int,
-    hit_lat: float,
-) -> Chunk:
-    """Classify records ``[start, end)`` against the current L1 mirror.
-
-    ``mapping`` is the live translator's ``(core_id, vpage) -> frame``
-    dict, read per *unique* page in the chunk (spatial workloads revisit
-    the same pages, so the dict probes amortise to far below one per
-    record).
-    """
-    n = end - start
-    kind = np.zeros(n, np.uint8)
-    block = np.zeros(n, np.uint64)
-    setidx = np.zeros(n, np.int64)
-    way = np.zeros(n, np.int64)
-    vpage = np.zeros(n, np.uint64)
-    chunk = Chunk(start, end, kind, block, setidx, way, vpage)
-    f = flags[start:end]
-    mem = np.nonzero(f & 1)[0]
-    if mem.size == 0:
-        _derive(chunk, flags, ways, hit_lat)
-        return chunk
-
-    va = addrs[start:end][mem]
-    vp = va >> np.uint64(page_bits)
-    vpage[mem] = vp
-    uniq, inverse = np.unique(vp, return_inverse=True)
-    frames = np.zeros(uniq.size, np.uint64)
-    known = np.zeros(uniq.size, bool)
-    get = mapping.get
-    for i, page in enumerate(uniq.tolist()):
-        frame = get((core_id, page))
-        if frame is not None:
-            frames[i] = frame
-            known[i] = True
-
-    known_mem = known[inverse]
-    kind[mem[~known_mem]] = CLS_UNKNOWN
-    sel = np.nonzero(known_mem)[0]
-    if sel.size:
-        km = mem[sel]
-        blk = _block_of(frames[inverse[sel]], va[sel], page_bits, block_bits)
-        si = (blk & set_mask).astype(np.int64)
-        hit, w = _membership(blk, si, tags, valid)
-        kind[km] = np.where(hit, CLS_HIT, CLS_MISS)
-        block[km] = blk
-        setidx[km] = si
-        way[km] = w
-    _derive(chunk, flags, ways, hit_lat)
-    return chunk
 
 
 def resolve_blocks(
@@ -213,10 +39,7 @@ def resolve_blocks(
 
     Returns ``(blocks, vpages)``: per-record physical block numbers as
     int64 (−1 for non-memory records and still-unmapped pages) and the
-    per-record virtual page (0 for non-memory records).  This is the
-    translation half of :func:`classify_chunk` without the membership
-    test — the drain walker probes its residency dict per record, so
-    only the frame resolution is worth batching.
+    per-record virtual page (0 for non-memory records).
     """
     n = end - start
     out = np.full(n, -1, dtype=np.int64)
@@ -242,76 +65,3 @@ def resolve_blocks(
         blk = _block_of(frames[inverse[sel]], va[sel], page_bits, block_bits)
         out[mem[sel]] = blk.astype(np.int64)
     return out, vpages
-
-
-def reclassify_set(
-    chunk: Chunk, pos: int, set_index: int, tags, valid, ways: int, hit_lat: float
-) -> None:
-    """Re-test the chunk tail's entries of one set after a barrier fill.
-
-    ``pos`` is the absolute trace index of the first not-yet-replayed
-    record.  Only already-mapped entries indexed into ``set_index`` can
-    have changed outcome (the fill inserted one block and may have
-    evicted another), so only those are re-tested.
-    """
-    rel = pos - chunk.start
-    k = chunk.kind[rel:]
-    cand = ((k == CLS_HIT) | (k == CLS_MISS)) & (chunk.setidx[rel:] == set_index)
-    idx = np.nonzero(cand)[0]
-    if idx.size == 0:
-        return
-    idx += rel
-    blk = chunk.block[idx]
-    match = (tags[set_index][None, :] == blk[:, None]) & valid[set_index][None, :]
-    hit = match.any(axis=1)
-    w = match.argmax(axis=1)
-    chunk.kind[idx] = np.where(hit, CLS_HIT, CLS_MISS)
-    chunk.way[idx] = w
-    chunk.hitv[idx] = hit
-    chunk.depv[idx] = hit & chunk.depflag[idx]
-    chunk.loadv[idx] = hit & chunk.loadflag[idx]
-    chunk.slots[idx] = chunk.setidx[idx] * ways + w
-    chunk.addlat[idx] = np.where(hit, hit_lat, _ALU_LATENCY)
-
-
-def reclassify_vpage(
-    chunk: Chunk,
-    pos: int,
-    vpage: int,
-    frame: int,
-    addrs,
-    tags,
-    valid,
-    page_bits: int,
-    block_bits: int,
-    set_mask,
-    ways: int,
-    hit_lat: float,
-) -> None:
-    """Resolve the chunk tail's ``CLS_UNKNOWN`` entries of one page.
-
-    Called right after a first-touch barrier allocated ``frame`` for
-    ``vpage``: the page's remaining accesses now have physical blocks
-    and are classified against the *post-fill* tag state.
-    """
-    rel = pos - chunk.start
-    cand = (chunk.kind[rel:] == CLS_UNKNOWN) & (
-        chunk.vpage[rel:] == np.uint64(vpage)
-    )
-    idx = np.nonzero(cand)[0]
-    if idx.size == 0:
-        return
-    idx += rel
-    va = addrs[chunk.start + idx]
-    blk = _block_of(np.uint64(frame), va, page_bits, block_bits)
-    si = (blk & set_mask).astype(np.int64)
-    hit, w = _membership(blk, si, tags, valid)
-    chunk.kind[idx] = np.where(hit, CLS_HIT, CLS_MISS)
-    chunk.block[idx] = blk
-    chunk.setidx[idx] = si
-    chunk.way[idx] = w
-    chunk.hitv[idx] = hit
-    chunk.depv[idx] = hit & chunk.depflag[idx]
-    chunk.loadv[idx] = hit & chunk.loadflag[idx]
-    chunk.slots[idx] = si * ways + w
-    chunk.addlat[idx] = np.where(hit, hit_lat, _ALU_LATENCY)

@@ -3,7 +3,7 @@
 The refactor's non-negotiable: routing LRU through the policy interface
 (``lru-interface``) must change *nothing* — field-for-field ``SimResult``
 equality against the native fast path, on the reference loop and on the
-vector tier from both of its starts.  And since the LLC is the only
+vector tier.  And since the LLC is the only
 policy-bearing level and every run funnels LLC traffic through the same
 ``_llc_access``, every registry policy must be tier-transparent too.
 """
@@ -26,28 +26,24 @@ NON_ORACLE = sorted(set(available_replacements()) - {"opt"})
 
 def run_tiers(replacement, instructions=2500, warmup=400, seed=7):
     """One configuration on the reference loop (``generator``) and on the
-    vector tier from its drain start (``vectorized``) and its test-only
-    batch start (``batch``); SimResult dicts by name."""
+    vector tier (``vectorized``); SimResult dicts by name."""
     system = small_system(num_cores=4)
     params = SimulationParams(
         instructions_per_core=instructions, warmup_instructions=warmup
     )
     source = make_workload("streaming", seed=seed, scale=SCALE)
     compiled = compile_workload(source, records_per_core=instructions)
-    out = {
+    engine = SimulationEngine(
+        compiled, "bingo", system, params, vectorized=True,
+        replacement=replacement,
+    )
+    assert engine._vector_path_eligible()
+    return {
         "generator": SimulationEngine(
             source, "bingo", system, params, replacement=replacement
         ).run().to_dict(),
+        "vectorized": engine.run().to_dict(),
     }
-    for name in ("vectorized", "batch"):
-        engine = SimulationEngine(
-            compiled, "bingo", system, params, vectorized=True,
-            replacement=replacement,
-        )
-        engine._vector_batch_start = name == "batch"
-        assert engine._vector_path_eligible()
-        out[name] = engine.run().to_dict()
-    return out
 
 
 class TestLruInterfaceByteIdentity:
@@ -57,12 +53,12 @@ class TestLruInterfaceByteIdentity:
     def test_interface_lru_identical_to_native_all_tiers(self):
         native = run_tiers("lru")
         routed = run_tiers("lru-interface")
-        for tier in ("generator", "vectorized", "batch"):
+        for tier in ("generator", "vectorized"):
             assert routed[tier] == native[tier], tier
 
     def test_native_lru_tiers_agree(self):
         tiers = run_tiers("lru")
-        assert tiers["vectorized"] == tiers["batch"] == tiers["generator"]
+        assert tiers["vectorized"] == tiers["generator"]
 
 
 @pytest.mark.parametrize("replacement", NON_ORACLE)
@@ -70,7 +66,7 @@ class TestTierTransparency:
     def test_policy_identical_across_tiers(self, replacement):
         """LLC policy choice must be invisible to the tier choice."""
         tiers = run_tiers(replacement, instructions=1500, warmup=300)
-        assert tiers["vectorized"] == tiers["batch"] == tiers["generator"]
+        assert tiers["vectorized"] == tiers["generator"]
 
 
 class TestOptPlumbing:

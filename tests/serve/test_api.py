@@ -108,6 +108,35 @@ class TestRoutes:
         assert excinfo.value.status == 404
 
 
+class TestEngineTierCounters:
+    def test_service_job_reaches_engine_tiers(self):
+        """A job runs in a disposable child process, yet its engine tier
+        shows in ``/metrics``: one uncached, compiled job adds one
+        vectorized run."""
+        service = SimulationService(
+            ServiceConfig(workers=1, cache_dir=None, job_timeout=60.0)
+        ).start()
+        server = make_server(service, host="127.0.0.1", port=0)
+        host, port = server.server_address[:2]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(f"http://{host}:{port}", timeout=5.0)
+        try:
+            before = client.metrics()["engine_tiers"]
+            accepted = client.submit(wire_spec(seed=13, compile=True))
+            record = client.wait(accepted["id"], timeout=120.0)
+            assert record["state"] == "done"
+            after = client.metrics()["engine_tiers"]
+            assert after["vectorized"] >= 1
+            assert after["vectorized"] == before["vectorized"] + 1
+            assert after["general"] == before["general"]
+        finally:
+            service.drain(timeout=10.0)
+            server.shutdown()
+            server.server_close()
+            thread.join(5.0)
+
+
 class TestSubmission:
     def test_single_submit_accepted(self, api):
         _, client, _, _ = api

@@ -1,11 +1,14 @@
 """The batch executor: job specs, digests, the on-disk cache, fan-out."""
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.common.config import small_system
 from repro.obs.config import ObservabilityConfig
+from repro.sim.engine import add_tier_runs, engine_tier_counters
 from repro.sim.executor import (
     CACHE_SCHEMA,
     Executor,
@@ -254,3 +257,30 @@ class TestCheckedExecution:
         job = quick_job(prefetcher="bingo", prefetcher_kwargs=None)
         result = execute_job_checked(job)  # strict: raises on violation
         assert result.demand_accesses > 0
+
+
+class TestTierCounters:
+    def test_concurrent_folds_lose_no_runs(self):
+        """Service slots fold their jobs' tier counts in from several
+        threads at once; no update may be lost."""
+        threads, per_thread = 8, 2000
+        before = engine_tier_counters()["vectorized"]
+
+        def fold():
+            for _ in range(per_thread):
+                add_tier_runs({"vectorized": 1})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fold) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+            after = engine_tier_counters()["vectorized"]
+        finally:
+            sys.setswitchinterval(interval)
+            add_tier_runs({"vectorized": -threads * per_thread})
+        assert after == before + threads * per_thread
